@@ -78,85 +78,64 @@ def decrypt_cell(cell: object, cipher: ProbabilisticCipher) -> str:
     return cipher.decrypt(cell)
 
 
-def _reconstruct_record_dict(
-    encrypted: EncryptedTable,
-    row_indexes: Iterable[int],
-    cipher: ProbabilisticCipher,
-    original_index: int,
-) -> dict[str, str]:
-    """Reassemble one original record (as ``{attribute: value}``).
+def _reassemble_records(
+    encrypted: EncryptedTable, sources: Iterable[int], cipher: ProbabilisticCipher
+) -> list[list[str]]:
+    """Reassemble original records, as rows in schema order.
 
-    A record replaced by conflict resolution is spread over two ciphertext
-    rows; each contributes the attributes it carries authentically.
+    A record replaced by conflict resolution is spread over several
+    ciphertext rows; each contributes the attributes it carries
+    authentically.  All the cells are collected first and decrypted as one
+    batch (one PRF key schedule, one XOR over the concatenated pads) — the
+    inverse of the batched materialiser.
     """
-    schema = encrypted.relation.schema
-    values: dict[str, str] = {}
-    for row_index in row_indexes:
-        provenance = encrypted.provenance[row_index]
-        for attr in provenance.authentic_attributes:
-            if attr in values:
-                continue
-            cell = encrypted.relation.value(row_index, attr)
-            values[attr] = decrypt_cell(cell, cipher)
-    missing = [attr for attr in schema if attr not in values]
-    if missing:
-        raise DecryptionError(
-            f"original row {original_index} cannot be reconstructed; "
-            f"missing attributes {missing}"
-        )
-    return values
-
-
-def _reconstruct_record(
-    encrypted: EncryptedTable,
-    row_indexes: Iterable[int],
-    cipher: ProbabilisticCipher,
-    original_index: int,
-) -> list[str]:
-    """Reassemble one original record as a row in schema order."""
-    values = _reconstruct_record_dict(encrypted, row_indexes, cipher, original_index)
-    return [values[attr] for attr in encrypted.relation.schema]
+    relation = encrypted.relation
+    provenance = encrypted.provenance
+    groups = encrypted.original_row_groups()
+    attributes = relation.attributes
+    columns = {attr: relation.column(attr) for attr in attributes}
+    jobs: list[Ciphertext] = []
+    record_slots: list[dict[str, int]] = []
+    for source in sources:
+        slots: dict[str, int] = {}
+        for row_index in groups[source]:
+            for attr in provenance[row_index].authentic_attributes:
+                if attr in slots:
+                    continue
+                cell = columns[attr][row_index]
+                if not isinstance(cell, Ciphertext):
+                    raise DecryptionError(f"cell is not a ciphertext: {cell!r}")
+                slots[attr] = len(jobs)
+                jobs.append(cell)
+        missing = [attr for attr in attributes if attr not in slots]
+        if missing:
+            raise DecryptionError(
+                f"original row {source} cannot be reconstructed; "
+                f"missing attributes {missing}"
+            )
+        record_slots.append(slots)
+    texts = cipher.decrypt_batch(jobs) if jobs else []
+    return [[texts[slots[attr]] for attr in attributes] for slots in record_slots]
 
 
 def decrypt_table(encrypted: EncryptedTable, cipher: ProbabilisticCipher) -> Relation:
     """Reconstruct the original plaintext relation from an F2 output.
 
     Artificial rows are dropped; original records are reassembled from the
-    authentic cells of the rows derived from them.  All authentic cells are
-    collected first and decrypted as one batch (one PRF key schedule, one
-    XOR over the concatenated pads) — the table-level inverse of the batched
-    materialiser.
+    authentic cells of the rows derived from them, in one decryption batch.
     """
     groups = encrypted.original_row_groups()
     if not groups:
         raise DecryptionError("the encrypted table contains no original rows")
-    schema = encrypted.relation.schema
-    jobs: list[Ciphertext] = []
-    record_slots: list[dict[str, int]] = []
-    for original_index in sorted(groups):
-        slots: dict[str, int] = {}
-        for row_index in groups[original_index]:
-            provenance = encrypted.provenance[row_index]
-            for attr in provenance.authentic_attributes:
-                if attr in slots:
-                    continue
-                cell = encrypted.relation.value(row_index, attr)
-                if not isinstance(cell, Ciphertext):
-                    raise DecryptionError(f"cell is not a ciphertext: {cell!r}")
-                slots[attr] = len(jobs)
-                jobs.append(cell)
-        missing = [attr for attr in schema if attr not in slots]
-        if missing:
-            raise DecryptionError(
-                f"original row {original_index} cannot be reconstructed; "
-                f"missing attributes {missing}"
-            )
-        record_slots.append(slots)
-    texts = cipher.decrypt_batch(jobs)
-    recovered = Relation(schema, name=f"{encrypted.relation.name}-decrypted")
-    for slots in record_slots:
-        recovered.append([texts[slots[attr]] for attr in schema])
-    return recovered
+    return Relation(
+        encrypted.relation.schema,
+        _reassemble_records(encrypted, sorted(groups), cipher),
+        name=f"{encrypted.relation.name}-decrypted",
+    )
+
+
+#: ``str(value) -> [(representative value, variant), ...]`` on one attribute.
+_TokenSources = dict[str, list[tuple[Any, str]]]
 
 
 class DataOwner:
@@ -187,6 +166,8 @@ class DataOwner:
         self._context: EncryptionContext | None = None
         self._encrypted: EncryptedTable | None = None
         self._last_report: IncrementalReport | None = None
+        # (context, table, attribute -> token sources); see _token_sources.
+        self._token_index: tuple[object, object, dict[str, _TokenSources]] | None = None
 
     # ------------------------------------------------------------------
     # Key material / configuration
@@ -313,13 +294,15 @@ class DataOwner:
     def derive_search_token(self, attribute: str, value: Any) -> tuple[Ciphertext, ...]:
         """The full set of instance ciphertexts for ``value`` on ``attribute``.
 
-        Walks the retained split plans: every ciphertext instance of an
-        equivalence class whose representative carries ``value`` on
-        ``attribute`` contributes one deterministic re-encryption
-        ``Encrypt(value, variant)``.  The resulting tuple is the search
-        token of the standard searchable-encryption interaction — the
-        keyless provider can filter rows against it but learns nothing
-        about the plaintext beyond the (frequency-homogenised) matches.
+        Every ciphertext instance of an equivalence class whose
+        representative carries ``value`` on ``attribute`` contributes one
+        deterministic re-encryption ``Encrypt(value, variant)``, in the walk
+        order of the retained split plans (read from a per-attribute index
+        of those plans, so a token costs O(its size)).  The resulting tuple
+        is the search token of the standard searchable-encryption
+        interaction — the keyless provider can filter rows against it but
+        learns nothing about the plaintext beyond the
+        (frequency-homogenised) matches.
 
         An empty token is legal (the value does not occur); a
         :class:`~repro.exceptions.QueryError` means the attribute's
@@ -337,21 +320,47 @@ class DataOwner:
             )
         text = value if isinstance(value, str) else str(value)
         encrypt = self.pipeline.cipher.encrypt
-        token: dict[Ciphertext, None] = {}
-        for plan in self._context.mas_plans:
-            if attribute not in plan.attributes:
-                continue
-            position = plan.attributes.index(attribute)
-            for ecg_plan in plan.ecg_plans:
-                for member_plan in ecg_plan.member_plans:
-                    member = member_plan.member
-                    if member.is_fake:
-                        continue
-                    if str(member.representative[position]) != text:
-                        continue
-                    for instance in member_plan.instances:
-                        token[encrypt(member.representative[position], instance.variant)] = None
+        token = dict.fromkeys(
+            encrypt(plain, variant)
+            for plain, variant in self._token_sources(attribute).get(text, ())
+        )
         return tuple(token)
+
+    def _token_sources(self, attribute: str) -> _TokenSources:
+        """``str(value) -> [(representative value, variant), ...]`` on
+        ``attribute``, in split-plan walk order (built once per owner state).
+
+        The walk visits every member plan of every MAS covering the
+        attribute; the index makes a token O(its size) instead.  It is keyed
+        on the current context/table pair, which every outsource and insert
+        replaces, so it never outlives the plans it was built from.
+        """
+        context, encrypted = self._context, self._encrypted
+        assert context is not None  # checked by derive_search_token
+        cached = self._token_index
+        if cached is None or cached[0] is not context or cached[1] is not encrypted:
+            cached = self._token_index = (context, encrypted, {})
+        by_attribute = cached[2]
+        index = by_attribute.get(attribute)
+        if index is None:
+            # Published only once complete: a concurrent caller either sees
+            # no entry (and builds its own) or the whole map.
+            index = {}
+            for plan in context.mas_plans:
+                if attribute not in plan.attributes:
+                    continue
+                position = plan.attributes.index(attribute)
+                for ecg_plan in plan.ecg_plans:
+                    for member_plan in ecg_plan.member_plans:
+                        member = member_plan.member
+                        if member.is_fake:
+                            continue
+                        plain = member.representative[position]
+                        index.setdefault(str(plain), []).extend(
+                            (plain, instance.variant) for instance in member_plan.instances
+                        )
+            by_attribute[attribute] = index
+        return index
 
     def select_plaintext(self, attribute: str, value: Any) -> Relation:
         """The plaintext equality selection ``sigma_{attribute=value}``.
@@ -403,16 +412,11 @@ class DataOwner:
             if attribute is not None and attribute not in row.authentic_attributes:
                 continue
             sources.add(row.source_row)
-        groups = encrypted.original_row_groups()
-        cipher = self.pipeline.cipher
-        recovered = Relation(
-            encrypted.relation.schema, name=f"{encrypted.relation.name}-query"
+        return Relation(
+            encrypted.relation.schema,
+            _reassemble_records(encrypted, sorted(sources), self.pipeline.cipher),
+            name=f"{encrypted.relation.name}-query",
         )
-        for source in sorted(sources):
-            recovered.append(
-                _reconstruct_record(encrypted, groups[source], cipher, source)
-            )
-        return recovered
 
     # ------------------------------------------------------------------
     # Planned boolean-predicate queries (the repro.query engine)
@@ -466,6 +470,11 @@ class DataOwner:
 
         The decrypted result therefore equals ``select_plaintext_where``
         exactly, in original row order.
+
+        Cost: O(matches + conflict-split records) provenance reads and cell
+        decryptions (one batch) per query.  The O(table) provenance index
+        is built once per :class:`EncryptedTable`, by its first query, and
+        the split records once per server-attribute set.
         """
         if isinstance(result, PlanQueryResult):
             row_indexes: Sequence[int] = result.row_indexes
@@ -486,7 +495,12 @@ class DataOwner:
                 f"outsourced table has {len(provenance)}; owner and provider "
                 "are out of sync (push the current server view first)"
             )
-        matched: set[int] = set()
+        server_attrs = plan.server_attributes
+        server_predicate = plan.server_predicate
+        assert server_predicate is not None  # plan.server is not None here
+        # Only matched rows are visited: a source record is a server match
+        # iff a matched row carries every server attribute authentically.
+        decided: set[int] = set()
         for index in row_indexes:
             if not 0 <= index < len(provenance):
                 raise QueryError(
@@ -494,38 +508,30 @@ class DataOwner:
                     f"table (0..{len(provenance) - 1}); owner and provider are "
                     "out of sync"
                 )
-            matched.add(index)
-        server_attrs = plan.server_attributes
-        server_predicate = plan.server_predicate
-        assert server_predicate is not None  # plan.server is not None here
-        groups = encrypted.original_row_groups()
-        cipher = self.pipeline.cipher
-        schema = encrypted.relation.schema
-        recovered = Relation(schema, name=f"{encrypted.relation.name}-query")
-        for source in sorted(groups):
-            rows = groups[source]
-            covering = [
-                index
-                for index in rows
-                if server_attrs <= provenance[index].authentic_attributes
-            ]
-            # Decide membership from the bitset first and decrypt only the
-            # candidates — a selective query must cost O(matches), not
-            # O(table).  Only the rare covering-empty (conflict-split)
-            # records are reconstructed before the verdict.
-            record: dict[str, str] | None = None
-            if covering:
-                if not any(index in matched for index in covering):
+            row = provenance[index]
+            if (
+                row.source_row is not None
+                and not row.is_artificial
+                and server_attrs <= row.authentic_attributes
+            ):
+                decided.add(row.source_row)
+        # Conflict-split records cannot be judged from the bitset; they are
+        # decrypted with the candidates and their server part re-evaluated.
+        split = encrypted.split_sources(server_attrs)
+        sources = sorted(decided.union(split))
+        records = _reassemble_records(encrypted, sources, self.pipeline.cipher)
+        attributes = encrypted.relation.attributes
+        recovered = Relation(
+            encrypted.relation.schema, name=f"{encrypted.relation.name}-query"
+        )
+        for source, values in zip(sources, records):
+            if source not in decided or plan.residual is not None:
+                record = dict(zip(attributes, values))
+                if source not in decided and not server_predicate.matches(record):
                     continue
-            else:
-                record = _reconstruct_record_dict(encrypted, rows, cipher, source)
-                if not server_predicate.matches(record):
+                if plan.residual is not None and not plan.residual.matches(record):
                     continue
-            if record is None:
-                record = _reconstruct_record_dict(encrypted, rows, cipher, source)
-            if plan.residual is not None and not plan.residual.matches(record):
-                continue
-            recovered.append([record[attr] for attr in schema])
+            recovered.append(values)
         return recovered
 
     def query_leakage_report(

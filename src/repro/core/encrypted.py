@@ -10,7 +10,8 @@ alpha-security invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from repro.core.config import F2Config
 from repro.core.stats import EncryptionStats
@@ -50,9 +51,49 @@ class EcgSummary:
     member_sizes: tuple[int, ...]
 
 
+class _ProvenanceIndex:
+    """Owner-side lookups over one table's provenance, built in one pass.
+
+    ``source_rows`` maps each original record to its ciphertext rows;
+    ``partial_sources`` lists the records none of whose rows carries every
+    attribute authentically (conflict replacements) — the only candidates
+    for :meth:`EncryptedTable.split_sources`, which caches its answer per
+    attribute set in ``split``.
+    """
+
+    __slots__ = ("source_rows", "partial_sources", "split")
+
+    def __init__(self, table: "EncryptedTable"):
+        attributes = frozenset(table.relation.attributes)
+        groups: dict[int, list[int]] = {}
+        complete: set[int] = set()
+        for index, row in enumerate(table.provenance):
+            source = row.source_row
+            if source is None or row.is_artificial:
+                continue
+            groups.setdefault(source, []).append(index)
+            if attributes <= row.authentic_attributes:
+                complete.add(source)
+        self.source_rows: Mapping[int, tuple[int, ...]] = MappingProxyType(
+            {source: tuple(rows) for source, rows in groups.items()}
+        )
+        self.partial_sources = tuple(sorted(groups.keys() - complete))
+        self.split: dict[frozenset[str], tuple[int, ...]] = {}
+
+
 @dataclass
 class EncryptedTable:
-    """The F2 encryption of one relation."""
+    """The F2 encryption of one relation.
+
+    **Immutability contract.** Once constructed, a table's ``relation`` and
+    ``provenance`` are never mutated: every outsource or insert produces a
+    new :class:`EncryptedTable` (``DataOwner`` swaps its reference).  The
+    owner-side provenance index behind :meth:`original_row_groups` and
+    :meth:`split_sources` relies on this — it is built lazily by the first
+    query, kept for the life of the instance, and never invalidated.  The
+    index is derived state: it takes no part in ``==``, ``repr`` or the wire
+    codec.
+    """
 
     relation: Relation
     provenance: list[RowProvenance]
@@ -61,6 +102,9 @@ class EncryptedTable:
     masses: list[MaximalAttributeSet] = field(default_factory=list)
     ecg_summaries: list[EcgSummary] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)
+    _index: _ProvenanceIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.provenance) != self.relation.num_rows:
@@ -87,13 +131,38 @@ class EncryptedTable:
         """Indexes of rows that carry no original record."""
         return [index for index, row in enumerate(self.provenance) if row.is_artificial]
 
-    def original_row_groups(self) -> dict[int, list[int]]:
-        """Map from original row index to the ciphertext rows derived from it."""
-        groups: dict[int, list[int]] = {}
-        for index, row in enumerate(self.provenance):
-            if row.source_row is not None and not row.is_artificial:
-                groups.setdefault(row.source_row, []).append(index)
-        return groups
+    def _provenance_index(self) -> _ProvenanceIndex:
+        if self._index is None:
+            self._index = _ProvenanceIndex(self)
+        return self._index
+
+    def original_row_groups(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only map from original row index to the ciphertext rows
+        derived from it, ascending (built once per table)."""
+        return self._provenance_index().source_rows
+
+    def split_sources(self, attributes: frozenset[str]) -> tuple[int, ...]:
+        """Original records none of whose rows carries all ``attributes``
+        authentically, ascending (cached per attribute set).
+
+        A conflict replacement can spread a record's attributes over several
+        ciphertext rows; a token query over ``attributes`` cannot decide such
+        a record from the server's match set, so the owner re-evaluates it
+        locally.  Costs O(conflict-replaced records) on first use per set.
+        """
+        index = self._provenance_index()
+        cached = index.split.get(attributes)
+        if cached is None:
+            provenance = self.provenance
+            cached = index.split[attributes] = tuple(
+                source
+                for source in index.partial_sources
+                if not any(
+                    attributes <= provenance[row].authentic_attributes
+                    for row in index.source_rows[source]
+                )
+            )
+        return cached
 
     def artificial_fraction(self) -> float:
         """Fraction of ciphertext rows that are artificial (space overhead)."""

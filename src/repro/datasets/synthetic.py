@@ -19,6 +19,7 @@ construction rather than probabilistic.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.exceptions import DatasetError
@@ -198,7 +199,7 @@ def generate_fd_table(
     num_extra_columns:
         Number of additional free attributes (``Extra1`` ... ``ExtraN``).
     seed:
-        RNG seed.
+        RNG seed; the same seed gives the same table in every process.
     """
     if num_rows < 1:
         raise DatasetError("num_rows must be at least 1")
@@ -207,7 +208,9 @@ def generate_fd_table(
     rng = random.Random(seed)
     zipcodes = [f"{7000 + index:05d}" for index in range(num_zipcodes)]
     cities = {zipcode: f"City{index // 2}" for index, zipcode in enumerate(zipcodes)}
-    states = {city: f"State{hash(city) % 5}" for city in cities.values()}
+    # crc32, not hash(): string hashing is salted per process, and the same
+    # seed must give the same table in every process.
+    states = {city: f"State{zlib.crc32(city.encode()) % 5}" for city in cities.values()}
 
     schema = ["Zipcode", "City", "State", "Street"] + [
         f"Extra{index + 1}" for index in range(num_extra_columns)

@@ -23,7 +23,6 @@ sends nothing extra to the provider.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -184,22 +183,15 @@ def build_leakage_report(
             f"with {len(leaves)} token leaves; owner and provider are out of sync"
         )
     leaf_reports: list[LeafLeakage] = []
-    # Per-attribute column statistics, computed once however many leaves
-    # share the attribute: the code lookup, the per-code counts, and the
-    # frequency histogram over the whole column (how many distinct
-    # ciphertexts occur with each frequency — the candidate-set sizes an
-    # access-pattern adversary works with).
-    column_stats: dict[str, tuple[dict, list[int], Counter]] = {}
     for leaf, reported in zip(leaves, leaf_match_counts):
-        stats = column_stats.get(leaf.attribute)
-        if stats is None:
-            coded_column = replica.coded().column(leaf.attribute)
-            counts = coded_column.counts()
-            code_of = {
-                value: code for code, value in enumerate(coded_column.dictionary)
-            }
-            stats = column_stats[leaf.attribute] = (code_of, counts, Counter(counts))
-        code_of, counts, anonymity = stats
+        # Column statistics cached on the coded view: the code lookup, the
+        # per-code counts, and the frequency histogram over the whole column
+        # (how many distinct ciphertexts occur with each frequency — the
+        # candidate-set sizes an access-pattern adversary works with).
+        coded_column = replica.coded().column(leaf.attribute)
+        code_of = coded_column.code_of()
+        counts = coded_column.counts()
+        anonymity = coded_column.count_histogram()
         observed: dict[int, int] = {}
         matched_ciphertexts = 0
         recomputed = 0

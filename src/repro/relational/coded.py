@@ -32,7 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class CodedColumn:
     """One dictionary-encoded column: codes + value dictionary."""
 
-    __slots__ = ("attribute", "codes", "dictionary", "_backend", "_counts")
+    __slots__ = (
+        "attribute", "codes", "dictionary", "_backend", "_counts", "_histogram", "_code_of"
+    )
 
     def __init__(self, attribute: str, codes: Any, dictionary: list[Any], backend: ComputeBackend):
         self.attribute = attribute
@@ -40,6 +42,8 @@ class CodedColumn:
         self.dictionary = dictionary
         self._backend = backend
         self._counts: list[int] | None = None
+        self._histogram: Counter | None = None
+        self._code_of: dict[Any, int] | None = None
 
     @property
     def num_values(self) -> int:
@@ -53,11 +57,24 @@ class CodedColumn:
         """The original value behind ``code``."""
         return self.dictionary[code]
 
+    def code_of(self) -> dict[Any, int]:
+        """Map from each value to its code, the inverse of ``dictionary``
+        (cached; do not mutate)."""
+        if self._code_of is None:
+            self._code_of = {value: code for code, value in enumerate(self.dictionary)}
+        return self._code_of
+
     def counts(self) -> list[int]:
         """Occurrences of each code, indexed by code (cached)."""
         if self._counts is None:
             self._counts = self._backend.counts(self.codes, self.num_values)
         return self._counts
+
+    def count_histogram(self) -> Counter:
+        """How many codes occur with each count (cached; do not mutate)."""
+        if self._histogram is None:
+            self._histogram = Counter(self.counts())
+        return self._histogram
 
     def frequencies(self) -> Counter:
         """Value-frequency table straight from the dictionary.
@@ -203,5 +220,5 @@ class CodedRelation:
 
     @staticmethod
     def _wanted_codes(column: CodedColumn, values: Iterable[Any]) -> list[int]:
-        code_of = {value: code for code, value in enumerate(column.dictionary)}
+        code_of = column.code_of()
         return sorted({code_of[value] for value in values if value in code_of})

@@ -1,5 +1,10 @@
 """Tests for the evaluation-dataset generators (Table 1 substitutes)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets.synthetic import (
@@ -144,6 +149,27 @@ class TestFdTableGenerator:
     def test_extra_columns(self):
         table = generate_fd_table(50, num_extra_columns=3)
         assert table.num_attributes == 4 + 3
+
+    def test_same_seed_same_table_in_every_process(self):
+        # String hashing is salted per process; the table must not be.
+        script = (
+            "from repro.api.delta import relation_digest\n"
+            "from repro.datasets import generate_fd_table\n"
+            "print(relation_digest(generate_fd_table(300, num_zipcodes=40, seed=3)))\n"
+        )
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(completed.stdout.strip())
+        assert len(digests) == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(DatasetError):
