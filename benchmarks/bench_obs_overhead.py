@@ -45,9 +45,10 @@ from repro.api import (
     ProtocolServer,
     RemoteOwnerSession,
 )
-from repro.api.protocol import QueryRequest
+from repro.api.protocol import PlanQueryRequest
 from repro.bench.reporting import format_table
 from repro.core.config import F2Config
+from repro.query import TokenLeaf
 from repro.relational.table import Relation
 
 from benchmarks.conftest import scale
@@ -129,7 +130,7 @@ def query_overhead(num_rows: int, repeats: int, rounds: int) -> list[dict]:
         make_relation(num_rows)
     )
     token = owner.derive_search_token("city", "city3")
-    request = QueryRequest(table_id="bench", attribute="city", token=token)
+    request = PlanQueryRequest(table_id="bench", expr=TokenLeaf("city", token))
     expected = len(client.call(request).row_indexes)
     assert expected > 0
 

@@ -11,7 +11,7 @@ Three layers, bottom up:
   :class:`ProtocolClient`/:class:`ProtocolServer` endpoints, the in-memory
   :class:`LoopbackTransport` and the TCP :class:`SocketTransport` /
   :class:`SocketProtocolServer`, snapshot persistence, and token-based
-  equality query serving.
+  query serving (planned selections; equality is a one-leaf plan).
 * :mod:`repro.api.session` — :class:`DataOwner` and :class:`ServiceProvider`
   model the paper's two-party outsourcing workflow end to end (the provider
   is a loopback facade over the protocol server), plus
@@ -58,8 +58,6 @@ from repro.api.protocol import (
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
-    QueryRequest,
-    QueryResult,
     SaveSnapshot,
     SignedEnvelope,
     SocketProtocolServer,
@@ -129,8 +127,6 @@ __all__ = [
     "PlanQueryResult",
     "ProtocolClient",
     "ProtocolServer",
-    "QueryRequest",
-    "QueryResult",
     "RemoteOwnerSession",
     "SaveSnapshot",
     "ServiceProvider",

@@ -2,13 +2,14 @@
 
 The paper's Figure-2 workflow is a *network* protocol: the data owner ships
 a ciphertext relation to an untrusted service provider, the provider runs FD
-discovery (and, here, answers token-based equality queries) and sends typed
+discovery (and, here, answers token-based selection queries) and sends typed
 results back.  This module is that protocol made concrete:
 
 * **Messages** — frozen dataclasses (:class:`OutsourceRequest`,
   :class:`InsertBatch`, :class:`DiscoverRequest` / :class:`DiscoverResult`,
-  :class:`QueryRequest` / :class:`QueryResult`, :class:`PlanQueryRequest` /
-  :class:`PlanQueryResult`, :class:`SaveSnapshot` / :class:`LoadSnapshot`,
+  :class:`PlanQueryRequest` / :class:`PlanQueryResult` — the one query
+  message pair; an equality query is a one-leaf plan —
+  :class:`SaveSnapshot` / :class:`LoadSnapshot`,
   :class:`Ack`, :class:`ErrorReply`) that serialize through the
   :mod:`repro.wire` codec in either wire form ("json" for debuggability,
   "binary" for throughput).
@@ -20,9 +21,9 @@ results back.  This module is that protocol made concrete:
 * **Endpoints** — :class:`ProtocolClient` (owner side: encodes requests,
   decodes replies, raises :class:`~repro.exceptions.ProtocolError` on error
   replies) and :class:`ProtocolServer` (provider side: a keyless store of
-  ciphertext relations, FD discovery over the compute backends, token-based
-  equality queries, planned boolean selections executed as bitset algebra,
-  and snapshot persistence so stores survive restarts).  Each table has its
+  ciphertext relations, FD discovery over the compute backends, planned
+  token selections (equality included) executed as bitset algebra, and
+  snapshot persistence so stores survive restarts).  Each table has its
   own read/write lock: parallel queries against one table share its read
   lock, and a mutation takes the write lock, so traffic never serializes
   behind an unrelated table's work.
@@ -405,106 +406,6 @@ class DiscoverResult(Message):
         return cls(
             table_id=check_table_id(meta.get("table_id", "")),
             result=decode_tane_result(_require(attachments, "result", cls.kind)),
-        )
-
-
-@dataclass(frozen=True)
-class QueryRequest(Message):
-    """Owner -> provider: equality query via a search token.
-
-    The token is the full set of instance ciphertexts the owner derived for
-    one plaintext value on ``attribute`` from her retained split plans; the
-    keyless provider filters rows whose ``attribute`` cell equals any token
-    ciphertext, learning only the (frequency-homogenised) access pattern.
-    """
-
-    kind: ClassVar[str] = "query_request"
-    table_id: str
-    attribute: str
-    token: tuple = ()
-    #: Ship the matched ciphertext rows in the reply.  The data owner never
-    #: needs them (she reconstructs matches from her own encrypted table via
-    #: the returned indexes), and splitting-and-scaling makes the matched
-    #: subset the dominant payload — so this is opt-in for keyless consumers.
-    include_rows: bool = False
-    #: Ship the table's commit version and Merkle root with the result, for
-    #: the owner's freshness/root check.
-    with_root: bool = False
-
-    def _meta(self) -> dict[str, Any]:
-        return {
-            "table_id": self.table_id,
-            "attribute": self.attribute,
-            "include_rows": self.include_rows,
-            "with_root": self.with_root,
-        }
-
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        return {"token": encode_cells(list(self.token), form)}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "QueryRequest":
-        attribute = meta.get("attribute")
-        if not isinstance(attribute, str) or not attribute:
-            raise WireError("query_request without an attribute")
-        return cls(
-            table_id=check_table_id(meta.get("table_id", "")),
-            attribute=attribute,
-            token=tuple(decode_cells(_require(attachments, "token", cls.kind))),
-            include_rows=bool(meta.get("include_rows", False)),
-            with_root=bool(meta.get("with_root", False)),
-        )
-
-
-@dataclass(frozen=True)
-class QueryResult(Message):
-    """Provider -> owner: the matched row indexes (and optionally the rows).
-
-    Row indexes refer to the provider's stored relation (which the owner can
-    line up with her retained provenance); ``rows`` is the matched ciphertext
-    subset in index order, attached only when the request set
-    ``include_rows`` (``None`` otherwise).
-    """
-
-    kind: ClassVar[str] = "query_result"
-    table_id: str
-    attribute: str
-    row_indexes: tuple[int, ...]
-    rows: Relation | None = None
-    #: Commit version / Merkle root of the queried table, attached only when
-    #: the request set ``with_root`` (``-1`` / ``""`` otherwise).
-    version: int = -1
-    merkle_root: str = ""
-
-    def _meta(self) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "table_id": self.table_id,
-            "attribute": self.attribute,
-            "row_indexes": list(self.row_indexes),
-        }
-        if self.merkle_root or self.version >= 0:
-            meta["version"] = self.version
-            meta["merkle_root"] = self.merkle_root
-        return meta
-
-    def _attachments(self, form: str) -> dict[str, bytes]:
-        if self.rows is None:
-            return {}
-        return {"rows": encode_relation(self.rows, form)}
-
-    @classmethod
-    def _build(cls, meta, attachments) -> "QueryResult":
-        indexes = meta.get("row_indexes")
-        if not isinstance(indexes, list):
-            raise WireError("query_result without row indexes")
-        rows_payload = attachments.get("rows")
-        return cls(
-            table_id=check_table_id(meta.get("table_id", "")),
-            attribute=str(meta.get("attribute", "")),
-            row_indexes=tuple(int(index) for index in indexes),
-            rows=None if rows_payload is None else decode_relation(rows_payload),
-            version=int(meta.get("version", -1)),
-            merkle_root=str(meta.get("merkle_root", "")),
         )
 
 
@@ -1116,8 +1017,6 @@ MESSAGE_TYPES: dict[str, type[Message]] = {
         InsertDelta,
         DiscoverRequest,
         DiscoverResult,
-        QueryRequest,
-        QueryResult,
         PlanQueryRequest,
         PlanQueryResult,
         SaveSnapshot,
@@ -2106,37 +2005,6 @@ class ProtocolServer:
                 self._discoveries[store_key] = result
         return DiscoverResult(table_id=request.table_id, result=result)
 
-    def _handle_query(self, request: QueryRequest, auth: _AuthContext) -> Message:
-        # Executed under the table's read lock: parallel queries share it,
-        # and a mutation (which replaces the stored columns and invalidates
-        # the token cache) waits for in-flight executions instead of racing
-        # them.
-        store_key = self._store_key(auth.tenant_id, request.table_id)
-        self._require_known_table(store_key, request.table_id)
-        with self._table_lock(store_key).read():
-            store = self.table_store(request.table_id, tenant_id=auth.tenant_id)
-            if request.attribute not in store.attributes:
-                raise _unknown_attribute(request.table_id, request.attribute)
-            with obs.span(
-                "store.rows_matching", table=request.table_id, engine=store.engine
-            ):
-                indexes = store.rows_matching(request.attribute, request.token)
-            rows = None
-            if request.include_rows:
-                relation = store.relation()
-                rows = relation.select_rows(indexes, name=f"{relation.name}-match")
-            version, root = -1, ""
-            if request.with_root:
-                version, root = store.commit_version, store.merkle_root()
-            return QueryResult(
-                table_id=request.table_id,
-                attribute=request.attribute,
-                row_indexes=tuple(indexes),
-                rows=rows,
-                version=version,
-                merkle_root=root,
-            )
-
     def _handle_plan_query(self, request: PlanQueryRequest, auth: _AuthContext) -> Message:
         store_key = self._store_key(auth.tenant_id, request.table_id)
         self._require_known_table(store_key, request.table_id)
@@ -2561,7 +2429,6 @@ ProtocolServer._HANDLERS = {
     InsertBatch: ProtocolServer._handle_insert,
     InsertDelta: ProtocolServer._handle_insert_delta,
     DiscoverRequest: ProtocolServer._handle_discover,
-    QueryRequest: ProtocolServer._handle_query,
     PlanQueryRequest: ProtocolServer._handle_plan_query,
     SaveSnapshot: ProtocolServer._handle_save_snapshot,
     LoadSnapshot: ProtocolServer._handle_load_snapshot,
@@ -3130,32 +2997,6 @@ class ProtocolClient:
             DiscoverResult,
         )
         return reply.result
-
-    def query(
-        self,
-        table_id: str,
-        attribute: str,
-        token,
-        include_rows: bool = False,
-        with_root: bool = False,
-    ) -> QueryResult:
-        """Equality query: filter rows against an owner-issued search token.
-
-        ``include_rows=True`` additionally ships the matched ciphertext rows
-        back; the owner-side decrypt path only needs the indexes.
-        ``with_root=True`` attaches the table's commit version and Merkle
-        root for the owner's freshness check.
-        """
-        return self._expect(
-            QueryRequest(
-                table_id=check_table_id(table_id),
-                attribute=attribute,
-                token=tuple(token),
-                include_rows=include_rows,
-                with_root=with_root,
-            ),
-            QueryResult,
-        )
 
     def plan_query(
         self,

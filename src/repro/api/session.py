@@ -41,7 +41,6 @@ from repro.api.protocol import (
     PlanQueryResult,
     ProtocolClient,
     ProtocolServer,
-    QueryResult,
 )
 from repro.core.config import F2Config
 from repro.core.encrypted import EncryptedTable
@@ -59,7 +58,7 @@ from repro.integrity.state import TableIntegrityState
 from repro.integrity.writers import WriteCoordinator
 from repro.fd.fd import FDSet
 from repro.fd.tane import TaneResult, tane
-from repro.query.ast import Predicate, check_attributes, evaluate_predicate
+from repro.query.ast import Eq, Predicate, check_attributes, evaluate_predicate
 from repro.query.leakage import QueryLeakageReport, build_leakage_report
 from repro.query.parser import parse_predicate
 from repro.query.planner import QueryPlan, plan_predicate
@@ -282,8 +281,8 @@ class DataOwner:
         the owner's retained split plans, so the owner can re-derive every
         ciphertext a value materialised to.  Attributes outside every MAS
         carry only unique values encrypted with fresh random nonces — the
-        owner cannot re-derive those, and :meth:`select_plaintext` answers
-        such queries locally instead.
+        owner cannot re-derive those, so the planner keeps predicates on
+        them in the owner-local residual instead.
         """
         if self._context is None:
             raise EncryptionError("no outsourced table; call outsource() first")
@@ -315,8 +314,8 @@ class DataOwner:
         if attribute not in self.queryable_attributes():
             raise QueryError(
                 f"attribute {attribute!r} lies outside every MAS; its ciphertexts "
-                "are fresh-nonce encryptions the owner cannot re-derive — answer "
-                "the query locally via select_plaintext()"
+                "are fresh-nonce encryptions the owner cannot re-derive — the "
+                "planner keeps predicates on it owner-local (see plan_query())"
             )
         text = value if isinstance(value, str) else str(value)
         encrypt = self.pipeline.cipher.encrypt
@@ -365,9 +364,9 @@ class DataOwner:
     def select_plaintext(self, attribute: str, value: Any) -> Relation:
         """The plaintext equality selection ``sigma_{attribute=value}``.
 
-        The ground truth a served query must reproduce — and the local
-        answer for attributes outside every MAS (their values are unique,
-        so the owner loses nothing by not asking the server).
+        An oracle computed straight from the owner's plaintext, independent
+        of the planner and the provider: the ground truth a served
+        ``select``/``query`` must reproduce.
         """
         plaintext = self.plaintext
         if attribute not in plaintext.schema:
@@ -379,44 +378,6 @@ class DataOwner:
             if (cell if isinstance(cell, str) else str(cell)) == text
         ]
         return plaintext.select_rows(matches, name=f"{plaintext.name}-select")
-
-    def decrypt_query_result(self, result: QueryResult | Sequence[int]) -> Relation:
-        """Turn a provider's query result into the matching plaintext rows.
-
-        The provider's matches include artificial rows (scaling copies carry
-        the same instance ciphertexts by design) and, for a conflicted
-        record, only the replacement row that kept the queried attribute.
-        The owner's retained provenance resolves both: matched rows are
-        filtered to those carrying the attribute *authentically*, mapped to
-        their source records, and each source record is reassembled from
-        all of its ciphertext rows — so the decrypted result is exactly the
-        plaintext equality selection, in row order.
-        """
-        if isinstance(result, QueryResult):
-            row_indexes: Sequence[int] = result.row_indexes
-            attribute: str | None = result.attribute
-        else:
-            row_indexes, attribute = result, None
-        encrypted = self.encrypted
-        provenance = encrypted.provenance
-        sources: set[int] = set()
-        for index in row_indexes:
-            if not 0 <= index < len(provenance):
-                raise QueryError(
-                    f"query result row {index} is outside the outsourced table "
-                    f"(0..{len(provenance) - 1}); owner and provider are out of sync"
-                )
-            row = provenance[index]
-            if row.is_artificial or row.source_row is None:
-                continue
-            if attribute is not None and attribute not in row.authentic_attributes:
-                continue
-            sources.add(row.source_row)
-        return Relation(
-            encrypted.relation.schema,
-            _reassemble_records(encrypted, sorted(sources), self.pipeline.cipher),
-            name=f"{encrypted.relation.name}-query",
-        )
 
     # ------------------------------------------------------------------
     # Planned boolean-predicate queries (the repro.query engine)
@@ -566,7 +527,7 @@ class ServiceProvider:
     """The untrusted server side of the outsourcing protocol.
 
     Only ever sees ciphertext relations; offers FD discovery and token-based
-    equality queries as its services.  Since the protocol redesign this is a
+    plan queries (equality included) as its services.  Since the protocol redesign this is a
     thin facade over a :class:`repro.api.protocol.ProtocolServer` driven
     through a :class:`~repro.api.protocol.LoopbackTransport` — every call
     round-trips through the full wire codec, so in-process sessions exercise
@@ -641,18 +602,6 @@ class ServiceProvider:
         """Run TANE on the received ciphertext and return FDs plus counters."""
         self._require_table()
         return self.client.discover(self.table_id, max_lhs_size=max_lhs_size)
-
-    def answer_query(
-        self,
-        attribute: str,
-        token: Iterable[Ciphertext],
-        include_rows: bool = False,
-    ) -> QueryResult:
-        """Filter the stored ciphertext rows against a search token."""
-        self._require_table()
-        return self.client.query(
-            self.table_id, attribute, tuple(token), include_rows=include_rows
-        )
 
     def answer_plan_query(self, expr: ServerExpr) -> PlanQueryResult:
         """Execute a server expression as bitset algebra over the stored rows."""
@@ -931,24 +880,8 @@ class RemoteOwnerSession:
         return result
 
     def query(self, attribute: str, value: Any) -> Relation:
-        """Equality selection served by the provider, decrypted locally.
-
-        For MAS-covered attributes the owner derives a search token, the
-        provider filters ciphertext rows against it, and the owner decrypts
-        the matches back to plaintext records.  Attributes outside every MAS
-        hold only unique values whose ciphertexts the owner cannot
-        re-derive; those queries are answered from the owner's plaintext
-        without a server round trip.
-        """
-        if attribute not in self.owner.queryable_attributes():
-            return self.owner.select_plaintext(attribute, value)
-        token = self.owner.derive_search_token(attribute, value)
-        result = self.client.query(
-            self.table_id, attribute, token, with_root=self.verify
-        )
-        if self.verify and self.integrity is not None:
-            self.integrity.check_reply(result.version, result.merkle_root)
-        return self.owner.decrypt_query_result(result)
+        """Equality selection ``attribute = value``: :meth:`select` of an ``Eq``."""
+        return self.select(Eq(attribute, value))
 
     def select(self, predicate: "Predicate | str") -> Relation:
         """Boolean selection served by the provider, decrypted locally.

@@ -102,14 +102,6 @@ class NumpyBackend(ComputeBackend):
             return False
         return bool(np.bincount(codes, minlength=num_groups).max() > 1)
 
-    def membership_rows(self, codes: Any, wanted: Sequence[int]) -> list[int]:
-        np = _np()
-        if not len(wanted):
-            return []
-        codes = np.asarray(codes)
-        mask = np.isin(codes, np.asarray(list(wanted), dtype=codes.dtype))
-        return np.flatnonzero(mask).tolist()
-
     # ------------------------------------------------------------------
     # Row masks (bitset algebra for the encrypted query engine)
     # ------------------------------------------------------------------

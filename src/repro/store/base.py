@@ -14,12 +14,12 @@ the server no longer cares *how* a table is held:
   generation-numbered manifest; queries read the codes straight off disk
   (memory-mapped) without rebuilding the full relation.
 
-The query plane is deliberately shaped like the coded view: a store exposes
+The query plane is one method shaped like the coded view: a store exposes
 ``backend`` / ``num_rows`` / ``match_mask`` — exactly the surface
-:func:`repro.query.server.execute_server_expr` consumes — so a store can be
-handed to the plan executor directly, and both engines front their scans
-with the same :class:`~repro.store.cache.TokenBitsetCache` (invalidated by
-every write).
+:func:`repro.query.server.execute_server_expr` consumes — so a store is
+handed to the plan executor directly (an equality query is a one-leaf
+plan), and both engines front their mask scans with the same
+:class:`~repro.store.cache.TokenBitsetCache` (invalidated by every write).
 
 Thread model: the server serialises writes against reads per table with its
 read/write locks, but `store()` accessors and FD discovery read without a
@@ -209,21 +209,12 @@ class TableStore(ABC):
         """
 
     # -- query plane (cache-fronted) -----------------------------------
-    def rows_matching(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        """Ascending indexes of the rows whose ``attribute`` cell is in ``token``."""
-        with self._mutex:
-            key = self._cache_key(attribute, token)
-            if key is not None:
-                hit = self._cache.get_rows(key)
-                if hit is not None:
-                    return list(hit)
-            rows = self._rows_matching_uncached(attribute, token)
-            if key is not None:
-                self._cache.put_rows(key, rows)
-            return list(rows)
-
     def match_mask(self, attribute: str, token: Iterable[Any]) -> Any:
-        """The backend row mask of :meth:`rows_matching` (for plan execution)."""
+        """The backend row mask of the rows whose ``attribute`` cell is in ``token``.
+
+        One token leaf of a plan query; the plan executor combines leaf
+        masks with the backend's ``rows_and``/``rows_or``/``rows_not``.
+        """
         with self._mutex:
             key = self._cache_key(attribute, token)
             if key is not None:
@@ -234,10 +225,6 @@ class TableStore(ABC):
             if key is not None:
                 self._cache.put_mask(key, mask)
             return mask
-
-    @abstractmethod
-    def _rows_matching_uncached(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        """Engine-specific membership scan (called under the store mutex)."""
 
     @abstractmethod
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:

@@ -7,12 +7,10 @@ cost of such a query is one membership scan over a dense code array — cheap,
 but linear in the table — so the store front-ends it with a small LRU cache
 keyed by ``(attribute, token)``.
 
-Two result forms are cached independently, because the two query paths
-consume different shapes: plain queries want the ascending row-index list,
-planned boolean queries want the backend's row *mask* (a python int bitset
-or a NumPy boolean array) so that ``rows_and``/``rows_or`` algebra never
-re-materialises leaves.  Both forms are immutable-by-convention: index lists
-are stored as tuples, python masks are ints, and the NumPy mask algebra
+The cached form is the backend's row *mask* (a python int bitset or a NumPy
+boolean array), the shape the plan executor consumes, so that
+``rows_and``/``rows_or`` algebra never re-materialises leaves.  Masks are
+immutable-by-convention: python masks are ints, and the NumPy mask algebra
 always allocates fresh output arrays.
 
 Correctness rests on one rule: **any write to the table invalidates the
@@ -28,7 +26,7 @@ from typing import Any, Iterable
 
 from repro.obs import metrics as _metrics
 
-#: Default bound on cached entries per (table, result-form).
+#: Default bound on cached entries per table.
 DEFAULT_CACHE_ENTRIES = 256
 
 # Process-wide rates across every table's cache; the per-store counters on
@@ -45,14 +43,13 @@ _MISSING = object()
 class TokenBitsetCache:
     """A bounded LRU cache of per-token match results for one table."""
 
-    __slots__ = ("max_entries", "hits", "misses", "invalidations", "_rows", "_masks")
+    __slots__ = ("max_entries", "hits", "misses", "invalidations", "_masks")
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
         self.max_entries = max(1, int(max_entries))
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self._rows: "OrderedDict[Any, tuple[int, ...]]" = OrderedDict()
         self._masks: "OrderedDict[Any, Any]" = OrderedDict()
 
     @staticmethod
@@ -65,25 +62,6 @@ class TokenBitsetCache:
         """
         return (attribute, tuple(token))
 
-    # -- row-index results ---------------------------------------------
-    def get_rows(self, key: Any) -> "tuple[int, ...] | None":
-        found = self._rows.get(key, _MISSING)
-        if found is _MISSING:
-            self.misses += 1
-            _CACHE_MISSES.inc()
-            return None
-        self._rows.move_to_end(key)
-        self.hits += 1
-        _CACHE_HITS.inc()
-        return found  # type: ignore[return-value]
-
-    def put_rows(self, key: Any, rows: Iterable[int]) -> None:
-        self._rows[key] = tuple(rows)
-        self._rows.move_to_end(key)
-        while len(self._rows) > self.max_entries:
-            self._rows.popitem(last=False)
-
-    # -- mask results --------------------------------------------------
     def get_mask(self, key: Any) -> Any:
         """The cached mask for ``key``, or ``None`` when absent.
 
@@ -109,15 +87,14 @@ class TokenBitsetCache:
     # -- write-path invalidation ---------------------------------------
     def invalidate(self) -> None:
         """Drop every cached result (called on any write to the table)."""
-        if self._rows or self._masks:
+        if self._masks:
             self.invalidations += 1
             _CACHE_INVALIDATIONS.inc()
-        self._rows.clear()
         self._masks.clear()
 
     @property
     def entries(self) -> int:
-        return len(self._rows) + len(self._masks)
+        return len(self._masks)
 
     def stats(self) -> dict[str, int]:
         """Counters for tests and benchmarks."""

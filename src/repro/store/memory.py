@@ -129,9 +129,6 @@ class MemoryTableStore(TableStore):
     def _coded(self) -> Any:
         return self.relation().coded(self._backend)
 
-    def _rows_matching_uncached(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        return self._coded().rows_matching(attribute, token)
-
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:
         return self._coded().match_mask(attribute, token)
 

@@ -340,13 +340,6 @@ class SegmentTableStore(TableStore):
             return "" if self._manifest is None else self._manifest.merkle_root
 
     # -- query plane ---------------------------------------------------
-    def _rows_matching_uncached(self, attribute: str, token: Iterable[Any]) -> list[int]:
-        index = self._attribute_index(attribute)
-        wanted, codes = self._wanted(index, token)
-        if not wanted:
-            return []
-        return self._backend.membership_rows(codes, wanted)
-
     def _match_mask_uncached(self, attribute: str, token: Iterable[Any]) -> Any:
         index = self._attribute_index(attribute)
         wanted, codes = self._wanted(index, token)

@@ -375,11 +375,21 @@ def flip_byte_of_cell_data(storage: Path, engine: str) -> None:
     target.write_bytes(bytes(data))
 
 
+#: The two read forms of a verified session.  ``query`` is ``select`` of a
+#: one-leaf ``Eq`` plan, so it must run the same reply checks (row count,
+#: inclusion proofs, freshness) before decrypting anything.
+READS = {
+    "select": lambda session: session.select("City = Hoboken"),
+    "query": lambda session: session.query("City", "Hoboken"),
+}
+
+
 class TestTamperMatrix:
+    @pytest.mark.parametrize("read", list(READS))
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_flipped_store_detected_owner_side(
-        self, registry, tmp_path, engine, backend
+        self, registry, tmp_path, engine, backend, read
     ):
         credential, owner, session = populate(registry, tmp_path, engine, backend)
         flip_byte_of_cell_data(tmp_path, engine)
@@ -387,11 +397,14 @@ class TestTamperMatrix:
             registry, tmp_path, engine, credential, owner, session, backend
         )
         with pytest.raises(IntegrityError) as excinfo:
-            fresh.select("City = Hoboken")
+            READS[read](fresh)
         assert "orders" in str(excinfo.value)
 
+    @pytest.mark.parametrize("read", list(READS))
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_rollback_to_older_generation_detected(self, registry, tmp_path, engine):
+    def test_rollback_to_older_generation_detected(
+        self, registry, tmp_path, engine, read
+    ):
         storage = tmp_path / "live"
         storage.mkdir()
         credential = registry.mint("acme", "owner")
@@ -414,7 +427,7 @@ class TestTamperMatrix:
             registry, storage, engine, credential, owner, session
         )
         with pytest.raises(IntegrityError) as excinfo:
-            fresh.select("City = Hoboken")
+            READS[read](fresh)
         assert "orders" in str(excinfo.value)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -478,9 +491,8 @@ class TestMultiWriterStress:
         expected_root = MerkleTree(relation_leaves(final_view)).root
         check = ProtocolClient(LoopbackTransport(server))
         check.authenticate(credential)
-        result = check.query(
-            "orders", "City", owner.derive_search_token("City", "Hoboken"),
-            with_root=True,
+        result = check.plan_query(
+            "orders", owner.plan_query("City = Hoboken").server, with_root=True
         )
         assert result.merkle_root == expected_root
         assert coordinator.integrity.expected_root == expected_root

@@ -22,8 +22,8 @@ from repro.api import (
     DataOwner,
     LoopbackTransport,
     ProtocolClient,
+    PlanQueryRequest,
     ProtocolServer,
-    QueryRequest,
     RemoteOwnerSession,
     SocketProtocolServer,
     SocketTransport,
@@ -33,6 +33,7 @@ from repro.api import (
 from repro.api.auth import ErrorCode
 from repro.core.config import F2Config
 from repro.exceptions import ProtocolError
+from repro.query import TokenLeaf
 
 
 @pytest.fixture(autouse=True)
@@ -231,7 +232,7 @@ class TestTracing:
 class TestExport:
     def make_registry(self) -> obs.MetricsRegistry:
         registry = obs.MetricsRegistry(enabled=True)
-        registry.counter("server.requests", kind="query_request").inc(3)
+        registry.counter("server.requests", kind="plan_query_request").inc(3)
         registry.gauge("store.num_rows", table="t1").set(48)
         registry.histogram("server.request_seconds", buckets=(0.01, 1.0)).observe(0.5)
         return registry
@@ -239,7 +240,7 @@ class TestExport:
     def test_prometheus_text_format(self):
         text = obs.to_prometheus_text(self.make_registry().snapshot())
         assert '# TYPE server_requests_total counter' in text
-        assert 'server_requests_total{kind="query_request"} 3' in text
+        assert 'server_requests_total{kind="plan_query_request"} 3' in text
         assert 'store_num_rows{table="t1"} 48' in text
         assert 'server_request_seconds_bucket{le="0.01"} 0' in text
         assert 'server_request_seconds_bucket{le="+Inf"} 1' in text
@@ -287,7 +288,7 @@ class TestRings:
     def test_error_ring_caps_but_counts_all(self):
         ring = obs.ErrorRing(capacity=2)
         for index in range(5):
-            ring.record("BAD_REQUEST", f"boom {index}", kind="query_request")
+            ring.record("BAD_REQUEST", f"boom {index}", kind="plan_query_request")
         assert ring.total == 5
         recent = ring.snapshot()
         assert [entry["message"] for entry in recent] == ["boom 3", "boom 4"]
@@ -303,14 +304,14 @@ class TestRings:
         armed = obs.SlowQueryLog(threshold_ms=0.0)
         assert armed.maybe_record(None) is False  # spans disabled -> no-op
         with caplog.at_level(logging.WARNING, logger="repro.obs.slowlog"):
-            assert armed.maybe_record(span_obj, kind="query_request", table="t1")
+            assert armed.maybe_record(span_obj, kind="plan_query_request", table="t1")
         assert armed.total == 1
         entry = armed.snapshot()[0]
         assert entry["trace_id"] == span_obj.trace_id
         assert entry["tags"] == {"table": "t1"}
         assert "server.q" in entry["tree"]
         line = caplog.records[-1].getMessage()
-        assert span_obj.trace_id in line and "kind=query_request" in line
+        assert span_obj.trace_id in line and "kind=plan_query_request" in line
 
         fast = obs.SlowQueryLog(threshold_ms=60_000.0)
         assert fast.maybe_record(span_obj) is False
@@ -345,7 +346,7 @@ class TestStatsProtocol:
             for entry in doc["metrics"]["counters"]
         }
         assert counters[("server.requests", "outsource_request")] == 1
-        assert counters[("server.requests", "query_request")] >= 1
+        assert counters[("server.requests", "plan_query_request")] >= 1
         assert counters[("server.bytes_received", "outsource_request")] > 0
         # The delta-vs-full story falls out of the per-kind byte counters:
         # the incremental insert travelled as a delta, not a full view.
@@ -463,16 +464,16 @@ class TestTracePropagation:
         session = RemoteOwnerSession(owner, client, table_id="t1")
         session.outsource(zipcode_table)
         token = owner.derive_search_token("City", "Hoboken")
-        client.call(QueryRequest(table_id="t1", attribute="City", token=token))
+        client.call(PlanQueryRequest(table_id="t1", expr=TokenLeaf("City", token)))
         trace_id = client.last_trace_id
         spans = obs.TRACES.spans_for(trace_id)
         by_name = {doc["name"]: doc for doc in spans}
         # One tree: the server's dispatch span nests under the client span,
         # and the store scan nests under the dispatch.
-        assert by_name["server.query_request"]["parent_id"] == \
-            by_name["client.query_request"]["span_id"]
-        assert by_name["store.rows_matching"]["parent_id"] == \
-            by_name["server.query_request"]["span_id"]
+        assert by_name["server.plan_query_request"]["parent_id"] == \
+            by_name["client.plan_query_request"]["span_id"]
+        assert by_name["store.execute_expr"]["parent_id"] == \
+            by_name["server.plan_query_request"]["span_id"]
         assert {doc["trace_id"] for doc in spans} == {trace_id}
 
     def test_tracing_off_keeps_request_metrics(self, zipcode_table):
@@ -482,12 +483,12 @@ class TestTracePropagation:
         session = RemoteOwnerSession(owner, client, table_id="t1")
         session.outsource(zipcode_table)
         token = owner.derive_search_token("City", "Hoboken")
-        requests = obs.REGISTRY.counter("server.requests", kind="query_request")
+        requests = obs.REGISTRY.counter("server.requests", kind="plan_query_request")
         before_requests = requests.value
         before_last = client.last_trace_id
         try:
             obs.set_tracing(False)
-            client.call(QueryRequest(table_id="t1", attribute="City", token=token))
+            client.call(PlanQueryRequest(table_id="t1", expr=TokenLeaf("City", token)))
         finally:
             obs.set_tracing(True)
         # No span tree, no trace id attached — but the per-kind counters
@@ -496,7 +497,7 @@ class TestTracePropagation:
         assert requests.value == before_requests + 1
         assert (
             obs.REGISTRY.histogram(
-                "server.request_seconds", kind="query_request"
+                "server.request_seconds", kind="plan_query_request"
             ).count
             >= 1
         )
@@ -511,7 +512,7 @@ class TestTracePropagation:
             session.outsource(zipcode_table)
             token = owner.derive_search_token("City", "Hoboken")
             with caplog.at_level(logging.WARNING, logger="repro.obs.slowlog"):
-                client.call(QueryRequest(table_id="t1", attribute="City", token=token))
+                client.call(PlanQueryRequest(table_id="t1", expr=TokenLeaf("City", token)))
             trace_id = client.last_trace_id
             assert trace_id
 
@@ -523,7 +524,7 @@ class TestTracePropagation:
             doc = client.stats(trace_id=trace_id)
             server_spans = doc["traces"][0]
             names = {span["name"] for span in server_spans}
-            assert "server.query_request" in names
+            assert "server.plan_query_request" in names
             assert {span["trace_id"] for span in server_spans} == {trace_id}
             slow = doc["slow_queries"]
             assert slow["threshold_ms"] == 0.0 and slow["total"] >= 1
@@ -535,8 +536,8 @@ class TestTracePropagation:
             # yields one readable tree for the whole round trip.
             merged = obs.TRACES.spans_for(trace_id)
             rendered = obs.render_trace(merged)
-            assert "client.query_request" in rendered
-            assert "server.query_request" in rendered
+            assert "client.plan_query_request" in rendered
+            assert "server.plan_query_request" in rendered
             session.close()
 
 
@@ -571,7 +572,7 @@ class TestLockMetricsConcurrency:
                 barrier.wait()
                 for _ in range(self.QUERIES):
                     result = client.call(
-                        QueryRequest(table_id="t1", attribute="City", token=token)
+                        PlanQueryRequest(table_id="t1", expr=TokenLeaf("City", token))
                     )
                     assert result.row_indexes
             except BaseException as exc:  # pragma: no cover - failure path

@@ -12,9 +12,9 @@ from repro.api import (
     ErrorReply,
     LoopbackTransport,
     Message,
+    PlanQueryRequest,
     ProtocolClient,
     ProtocolServer,
-    QueryRequest,
     RemoteOwnerSession,
     ServiceProvider,
     SocketProtocolServer,
@@ -24,6 +24,7 @@ from repro.api import (
 from repro.core.config import F2Config
 from repro.exceptions import EncryptionError, ProtocolError, QueryError, WireError
 from repro.fd.tane import tane
+from repro.query import Eq, TokenLeaf
 from repro.relational.table import Relation
 from repro.wire import WIRE_FORMS
 
@@ -83,14 +84,35 @@ class TestMessages:
         owner = make_owner()
         owner.outsource(zipcode_table)
         token = owner.derive_search_token("City", "Hoboken")
-        message = QueryRequest(table_id="default", attribute="City", token=token)
+        message = PlanQueryRequest(table_id="default", expr=TokenLeaf("City", token))
         decoded = Message.decode(message.encode(form))
         assert decoded == message
-        assert decoded.token == token
+        assert decoded.expr.token == token
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WireError):
-            Message.decode(b'{"protocol":"f2/1","kind":"nope","meta":{}}')
+        # "query_request" is the retired single-attribute equality message
+        # (equality is a one-leaf plan_query_request now): its frames, JSON
+        # and binary, must fail as typed wire errors, and a server must
+        # answer them with an ErrorReply rather than raise.
+        from repro.api.auth import ErrorCode
+        from repro.api.protocol import MESSAGE_MAGIC, MESSAGE_VERSION
+        from repro.wire.binary import ByteWriter
+
+        transport = LoopbackTransport(ProtocolServer())
+        for kind in ("nope", "query_request"):
+            writer = ByteWriter()
+            writer.raw(MESSAGE_MAGIC)
+            writer.raw(bytes([MESSAGE_VERSION]))
+            writer.lp_str(kind)
+            writer.lp_bytes(b'{"table_id":"t","attribute":"City"}')
+            writer.uvarint(0)
+            json_frame = f'{{"protocol":"f2/1","kind":"{kind}","meta":{{}}}}'.encode()
+            for frame in (json_frame, writer.getvalue()):
+                with pytest.raises(WireError):
+                    Message.decode(frame)
+                reply = Message.decode(transport.request(frame))
+                assert isinstance(reply, ErrorReply)
+                assert reply.code == ErrorCode.WIRE_MALFORMED.value
 
     def test_bad_table_id_rejected(self):
         for bad in ("", "../evil", "a/b", "x" * 80, ".hidden"):
@@ -345,6 +367,12 @@ class TestTokenQueries:
     def selection(self, relation: Relation, attribute: str, value: str):
         return [row for row in relation.rows() if row[relation.schema.index_of(attribute)] == value]
 
+    @staticmethod
+    def answer_eq(owner, provider, attribute, value):
+        """Serve ``attribute = value`` as a one-leaf plan; return plan and reply."""
+        plan = owner.plan_query(Eq(attribute, value))
+        return plan, provider.answer_plan_query(plan.server)
+
     @pytest.mark.parametrize(
         "attribute,value",
         [("Zipcode", "07030"), ("Zipcode", "07310"), ("City", "JerseyCity"), ("City", "Hoboken")],
@@ -353,41 +381,32 @@ class TestTokenQueries:
         owner, provider, table = outsourced
         token = owner.derive_search_token(attribute, value)
         assert token, "a value present in the table must yield a non-empty token"
-        result = provider.answer_query(attribute, token)
-        decrypted = owner.decrypt_query_result(result)
+        plan, result = self.answer_eq(owner, provider, attribute, value)
+        assert plan.server == TokenLeaf(attribute, token, values=(value,))
+        decrypted = owner.decrypt_plan_result(plan, result)
         assert list(decrypted.rows()) == self.selection(table, attribute, value)
 
     def test_absent_value_yields_empty_result(self, outsourced):
         owner, provider, _ = outsourced
-        token = owner.derive_search_token("City", "Atlantis")
-        result = provider.answer_query("City", token)
+        plan, result = self.answer_eq(owner, provider, "City", "Atlantis")
         assert result.row_indexes == ()
-        assert owner.decrypt_query_result(result).num_rows == 0
-
-    def test_rows_attachment_is_opt_in(self, outsourced):
-        # The owner path consumes only row_indexes; matched ciphertext rows
-        # ship back only when explicitly requested.
-        owner, provider, _ = outsourced
-        token = owner.derive_search_token("City", "Hoboken")
-        lean = provider.answer_query("City", token)
-        assert lean.rows is None
-        full = provider.answer_query("City", token, include_rows=True)
-        assert full.row_indexes == lean.row_indexes
-        assert full.rows is not None
-        assert full.rows.num_rows == len(full.row_indexes)
-        assert list(full.rows.rows()) == [
-            provider.table.row(index) for index in full.row_indexes
-        ]
+        assert result.leaf_match_counts == (0,)
+        assert owner.decrypt_plan_result(plan, result).num_rows == 0
 
     def test_matches_are_supersets_with_artificial_rows(self, outsourced):
         # The raw server-side matches include scaling copies (that is the
         # frequency-hiding working as designed); provenance filtering on the
         # owner side strips them.
         owner, provider, table = outsourced
-        token = owner.derive_search_token("City", "JerseyCity")
-        result = provider.answer_query("City", token)
-        plaintext_matches = len(self.selection(table, "City", "JerseyCity"))
+        plan, result = self.answer_eq(owner, provider, "City", "Hoboken")
+        plaintext_matches = len(self.selection(table, "City", "Hoboken"))
         assert len(result.row_indexes) >= plaintext_matches
+        assert result.leaf_match_counts == (len(result.row_indexes),)
+        provenance = owner.encrypted.provenance
+        artificial = [i for i in result.row_indexes if provenance[i].is_artificial]
+        assert artificial, "artificial rows must show up in the raw matches"
+        decrypted = owner.decrypt_plan_result(plan, result)
+        assert decrypted.num_rows == plaintext_matches
 
     def test_token_for_uncovered_attribute_raises(self, outsourced):
         owner, _, _ = outsourced
@@ -409,7 +428,7 @@ class TestTokenQueries:
         with pytest.raises(QueryError):
             owner.derive_search_token("Nope", "x")
         with pytest.raises(ProtocolError):
-            provider.answer_query("Nope", ())
+            provider.answer_plan_query(TokenLeaf("Nope", ()))
 
     def test_query_after_insert_reflects_new_rows(self, zipcode_table):
         owner = make_owner()
@@ -427,7 +446,7 @@ class TestTokenQueries:
     def test_provider_requires_received_table(self):
         provider = ServiceProvider()
         with pytest.raises(EncryptionError):
-            provider.answer_query("City", ())
+            provider.answer_plan_query(TokenLeaf("City", ()))
 
     @pytest.mark.parametrize("form", WIRE_FORMS)
     def test_plan_query_roundtrip(self, zipcode_table, form):
@@ -595,8 +614,6 @@ class TestLockRegistryHygiene:
         for index in range(20):
             with pytest.raises(ProtocolError):
                 client.plan_query(f"ghost-{index}", plan.server)
-            with pytest.raises(ProtocolError):
-                client.query(f"ghost-{index}", "City", ())
             with pytest.raises(ProtocolError):
                 client.save_snapshot(f"ghost-{index}")
             with pytest.raises(ProtocolError):

@@ -14,7 +14,6 @@ from repro.api.protocol import (
     PlanQueryRequest,
     ProtocolClient,
     ProtocolServer,
-    QueryRequest,
     SaveSnapshot,
 )
 from repro.backend import get_backend, numpy_available
@@ -36,6 +35,16 @@ from repro.wire import WIRE_BINARY, encode_relation
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def leaf_rows(store, attribute, token):
+    """Ascending row indexes of one token leaf, read off the store's mask."""
+    return store.backend.mask_to_rows(store.match_mask(attribute, token))
+
+
+def city_query(token):
+    """A one-leaf plan query: rows whose ``city`` cell is in ``token``."""
+    return PlanQueryRequest(table_id="orders", expr=TokenLeaf("city", token))
 
 
 def small_relation(name: str = "orders") -> Relation:
@@ -66,23 +75,23 @@ class TestTokenBitsetCache:
     def test_hit_miss_counters(self):
         cache = TokenBitsetCache()
         key = cache.key("city", ("hoboken",))
-        assert cache.get_rows(key) is None
-        cache.put_rows(key, [0, 2])
-        assert cache.get_rows(key) == (0, 2)
+        assert cache.get_mask(key) is None
+        cache.put_mask(key, 0b101)
+        assert cache.get_mask(key) == 0b101
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
     def test_lru_eviction(self):
         cache = TokenBitsetCache(max_entries=2)
         for index in range(3):
-            cache.put_rows(("a", (index,)), [index])
-        assert cache.get_rows(("a", (0,))) is None  # evicted
-        assert cache.get_rows(("a", (2,))) == (2,)
+            cache.put_mask(("a", (index,)), 1 << index)
+        assert cache.get_mask(("a", (0,))) is None  # evicted
+        assert cache.get_mask(("a", (2,))) == 0b100
 
     def test_invalidate_clears_everything(self):
         cache = TokenBitsetCache()
-        cache.put_rows(("a", (1,)), [1])
         cache.put_mask(("a", (1,)), 0b10)
+        cache.put_mask(("a", (2,)), 0b100)
         cache.invalidate()
         assert cache.entries == 0
         assert cache.stats()["invalidations"] == 1
@@ -115,11 +124,11 @@ class TestSegmentTableStore:
         store = SegmentTableStore(tmp_path / f"t{STORE_SUFFIX}", resolved, create=True)
         store.replace(relation)
         coded = relation.coded(resolved)
+        cities = list(relation.column("city"))
         for token in [("hoboken",), ("nyc", "jersey"), ("nowhere",), ()]:
-            assert store.rows_matching("city", token) == coded.rows_matching("city", token)
-            assert resolved.mask_to_rows(store.match_mask("city", token)) == (
-                resolved.mask_to_rows(coded.match_mask("city", token))
-            )
+            expected = [index for index, city in enumerate(cities) if city in token]
+            assert leaf_rows(store, "city", token) == expected
+            assert resolved.mask_to_rows(coded.match_mask("city", token)) == expected
         store.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -161,15 +170,15 @@ class TestSegmentTableStore:
             store.apply_delta(compute_view_delta(current, grown))
             current = grown
         assert store.num_rows == 600
-        assert store.rows_matching("v", ("v599",)) == [599]
-        assert store.rows_matching("v", ("v10",)) == [10]
+        assert leaf_rows(store, "v", ("v599",)) == [599]
+        assert leaf_rows(store, "v", ("v10",)) == [10]
         # v300 appears once, in the second segment, with a code >= 256 % 256
         # colliding against an early narrow code if wrapped.
-        assert store.rows_matching("v", ("v300",)) == [300]
+        assert leaf_rows(store, "v", ("v300",)) == [300]
         assert store.relation() == current
         store.close()
         reopened = SegmentTableStore(tmp_path / f"g{STORE_SUFFIX}", get_backend(backend))
-        assert reopened.rows_matching("v", ("v599",)) == [599]
+        assert leaf_rows(reopened, "v", ("v599",)) == [599]
         assert reopened.verify() is True
         reopened.close()
 
@@ -217,11 +226,11 @@ class TestSegmentTableStore:
         reopened = SegmentTableStore(tmp_path / f"t{STORE_SUFFIX}", backend)
         assert dictionary_decodes == []  # opening only skims the manifest
         assert column_decodes == []
-        assert reopened.rows_matching("zip", ("07030",)) == [0, 2]
+        assert leaf_rows(reopened, "zip", ("07030",)) == [0, 2]
         assert len(dictionary_decodes) == 1  # only the zip dictionary
         assert len(column_decodes) == 1  # only the zip code column
         # A second query on the same attribute hits the lazy caches.
-        assert reopened.rows_matching("zip", ("10001",)) == [1]
+        assert leaf_rows(reopened, "zip", ("10001",)) == [1]
         assert len(dictionary_decodes) == 1
         assert len(column_decodes) == 1
         reopened.close()
@@ -356,7 +365,7 @@ class TestServerEngines:
         )
         client = make_client(server)
         client.call(OutsourceRequest(table_id="orders", relation=base))
-        query = QueryRequest(table_id="orders", attribute="city", token=("hoboken",))
+        query = city_query(("hoboken",))
         assert client.call(query).row_indexes == (0, 2)
         assert client.call(query).row_indexes == (0, 2)  # cache hit
         store = server.table_store("orders")
@@ -373,7 +382,7 @@ class TestServerEngines:
         assert revived.table_ids() == ["orders"]
         assert revived.store("orders") == relation
         result = make_client(revived).call(
-            QueryRequest(table_id="orders", attribute="city", token=("nyc",))
+            city_query(("nyc",))
         )
         assert result.row_indexes == (1,)
 
@@ -464,7 +473,7 @@ class TestLazySnapshotLoading:
         assert store.attributes == ("city", "zip")
         assert store.num_rows == 4
         result = make_client(revived).call(
-            QueryRequest(table_id="orders", attribute="city", token=("nyc",))
+            city_query(("nyc",))
         )
         assert result.row_indexes == (1,)
         assert len(calls) == 1  # the first touch decoded, exactly once
