@@ -14,6 +14,10 @@ added by the query-engine PR.  Three question sets:
 * **python-vs-numpy speedup** — the ratio of the two throughputs at the
   largest size (only emitted when NumPy is installed).
 
+At full scale the bench also asserts that the python backend's
+``exec_rows_per_s`` at the largest size is at least 0.75x its rate at the
+smallest size, for every predicate: the bitset scan must stay linear.
+
 Results land in ``BENCH_query.json`` via the shared ``bench_json`` fixture.
 """
 
@@ -132,6 +136,24 @@ def test_query_engine_throughput(benchmark, bench_json):
         ]
         metadata["numpy_speedup_at_largest"] = round(speedup, 2)
     bench_json.add("summary", [], **metadata)
+
+    # The python scan is linear in the rows: per-row throughput must not
+    # collapse as the table grows.  Checked at full benchmark scale only
+    # (smoke runs are too small for the growth to show).
+    if sizes[-1] >= TABLE_SIZES[-1]:
+        smallest = min(row["rows"] for row in rows)
+        python_rate = {
+            (row["rows"], row["predicate"]): row["exec_rows_per_s"]
+            for row in rows
+            if row["backend"] == "python"
+        }
+        for label, _ in PREDICATES:
+            ratio = python_rate[largest, label] / max(python_rate[smallest, label], 1)
+            assert ratio >= 0.75, (
+                f"python exec_rows_per_s on {label!r} at {largest} rows is "
+                f"{ratio:.2f}x the rate at {smallest} rows; the bitset scan "
+                "must stay linear in the rows"
+            )
 
     # Every server match set must decrypt back to the plaintext selection
     # (spot check at the smallest size to keep the bench honest and quick).

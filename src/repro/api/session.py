@@ -297,11 +297,11 @@ class DataOwner:
         representative carries ``value`` on ``attribute`` contributes one
         deterministic re-encryption ``Encrypt(value, variant)``, in the walk
         order of the retained split plans (read from a per-attribute index
-        of those plans, so a token costs O(its size)).  The resulting tuple
-        is the search token of the standard searchable-encryption
-        interaction — the keyless provider can filter rows against it but
-        learns nothing about the plaintext beyond the
-        (frequency-homogenised) matches.
+        of those plans and encrypted in one ``encrypt_batch`` call, so a
+        token costs O(its size)).  The resulting tuple is the search token
+        of the standard searchable-encryption interaction — the keyless
+        provider can filter rows against it but learns nothing about the
+        plaintext beyond the (frequency-homogenised) matches.
 
         An empty token is legal (the value does not occur); a
         :class:`~repro.exceptions.QueryError` means the attribute's
@@ -318,12 +318,12 @@ class DataOwner:
                 "planner keeps predicates on it owner-local (see plan_query())"
             )
         text = value if isinstance(value, str) else str(value)
-        encrypt = self.pipeline.cipher.encrypt
-        token = dict.fromkeys(
-            encrypt(plain, variant)
-            for plain, variant in self._token_sources(attribute).get(text, ())
-        )
-        return tuple(token)
+        sources = self._token_sources(attribute).get(text)
+        if not sources:
+            return ()
+        # One batched pass, byte-identical to per-source encrypt() calls;
+        # dict.fromkeys keeps the first occurrence of each ciphertext.
+        return tuple(dict.fromkeys(self.pipeline.cipher.encrypt_batch(sources)))
 
     def _token_sources(self, attribute: str) -> _TokenSources:
         """``str(value) -> [(representative value, variant), ...]`` on

@@ -37,6 +37,7 @@ import sys
 from abc import ABC, abstractmethod
 from array import array as _stdlib_array
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Any
 
 from repro.exceptions import BackendError, BackendUnavailableError
@@ -191,8 +192,10 @@ class ComputeBackend(ABC):
     # ``rows_and`` / ``rows_or`` / ``rows_not``, and read results back with
     # ``mask_count`` / ``mask_to_rows``.  The reference representation is an
     # arbitrary-precision python int (bit ``i`` set iff row ``i`` is in the
-    # subset — bitwise ops on ints are word-parallel, so even the pure-python
-    # path works 64 rows at a time); the NumPy backend uses boolean arrays.
+    # subset).  The and/or/not algebra and ``mask_count`` are word-parallel
+    # int ops, so the pure-python path combines 64 rows at a time; the scan
+    # in and the read-back out each cost one C-level pass over the rows (see
+    # their docstrings).  The NumPy backend uses boolean arrays.
     # Both backends MUST return identical ``mask_to_rows`` output for the
     # same algebra, like every other primitive.
 
@@ -203,17 +206,15 @@ class ComputeBackend(ABC):
         query is a one-leaf plan): the search token is resolved against a
         column's dictionary to a (typically tiny) set of codes, and the row
         scan happens on the dense code array.
+
+        Cost: O(rows) in one C-level pass.  Each code maps to a ``'1'`` or
+        ``'0'`` digit, last row first, and ``int(digits, 2)`` parses the
+        whole string at once (a power-of-two base parses in linear time).
         """
-        if not len(wanted):
+        if not len(wanted) or not len(codes):
             return 0
-        wanted_set = set(int(code) for code in wanted)
-        mask = 0
-        bit = 1
-        for code in codes:
-            if code in wanted_set:
-                mask |= bit
-            bit <<= 1
-        return mask
+        digit = dict.fromkeys((int(code) for code in wanted), "1")
+        return int("".join(map(digit.get, reversed(codes), repeat("0"))), 2)
 
     def rows_and(self, masks: Sequence[Any]) -> Any:
         """Intersection of one or more row masks."""
@@ -242,13 +243,20 @@ class ComputeBackend(ABC):
         return int(mask).bit_count()
 
     def mask_to_rows(self, mask: Any) -> list[int]:
-        """The rows of a mask as ascending indexes."""
+        """The rows of a mask as ascending indexes.
+
+        Cost: one C-level pass over ``bin(mask)`` (O(rows)) plus one
+        ``str.find`` step per match.  The binary string is reversed so
+        that string position ``i`` is row ``i``.
+        """
+        digits = bin(int(mask))[:1:-1]
+        find = digits.find
         rows: list[int] = []
-        remaining = int(mask)
-        while remaining:
-            lowest = remaining & -remaining
-            rows.append(lowest.bit_length() - 1)
-            remaining ^= lowest
+        append = rows.append
+        row = find("1")
+        while row >= 0:
+            append(row)
+            row = find("1", row + 1)
         return rows
 
     # ------------------------------------------------------------------

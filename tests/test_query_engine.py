@@ -7,8 +7,11 @@ backends — and the per-query leakage report confirms the server-side match
 sets stayed frequency-homogenised.
 """
 
+import random
+from array import array
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import DataOwner, RemoteOwnerSession, ServiceProvider
@@ -94,6 +97,60 @@ class TestMaskPrimitives:
                 )
             )
         assert results[0] == results[1]
+
+
+    # The python primitives against a naive reference, on the code-array
+    # shapes the stores hand them: plain lists (coded relations) and stdlib
+    # arrays of every width (``from_code_bytes`` / ``concat_code_arrays``).
+    @settings(max_examples=80, deadline=None)
+    @given(
+        container=st.sampled_from(["list", "B", "H", "I", "Q", "q"]),
+        num_rows=st.sampled_from([0, 1, 63, 64, 65, 1000, 1001]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        wanted=st.lists(st.integers(min_value=0, max_value=11), max_size=5),
+    )
+    @example(container="list", num_rows=65, seed=0, wanted=[])
+    @example(container="B", num_rows=64, seed=0, wanted=[3, 3, 3])
+    @example(container="q", num_rows=1000, seed=0, wanted=[8, 9, 10, 11])
+    def test_python_primitives_match_naive_reference(
+        self, container, num_rows, seed, wanted
+    ):
+        backend = get_backend("python")
+        rng = random.Random(seed)
+        values = [rng.randrange(8) for _ in range(num_rows)]
+        codes = values if container == "list" else array(container, values)
+        wanted_set = set(wanted)
+        expected = [row for row, code in enumerate(codes) if code in wanted_set]
+
+        # The original per-row shift loop: the mask must be the same int.
+        loop_mask, bit = 0, 1
+        for code in codes:
+            if code in wanted_set:
+                loop_mask |= bit
+            bit <<= 1
+
+        mask = backend.membership_mask(codes, wanted)
+        assert mask == loop_mask
+        assert backend.mask_to_rows(mask) == expected
+        assert backend.mask_count(mask) == len(expected)
+        # Complement and union both reach the last row, bit num_rows - 1.
+        matched = set(expected)
+        assert backend.mask_to_rows(backend.rows_not(mask, num_rows)) == [
+            row for row in range(num_rows) if row not in matched
+        ]
+        if num_rows:
+            top = 1 << (num_rows - 1)
+            assert backend.mask_to_rows(backend.rows_or([mask, top])) == sorted(
+                matched | {num_rows - 1}
+            )
+
+    def test_python_mask_to_rows_edges(self):
+        backend = get_backend("python")
+        assert backend.mask_to_rows(0) == []
+        assert backend.mask_to_rows(1) == [0]
+        assert backend.mask_to_rows(1 << 200) == [200]
+        assert backend.mask_to_rows(backend.rows_not(0, 130)) == list(range(130))
+        assert backend.mask_to_rows(backend.rows_or([1, 1 << 129])) == [0, 129]
 
 
 # ----------------------------------------------------------------------
