@@ -425,7 +425,7 @@ class PlanQueryRequest(Message):
     kind: ClassVar[str] = "plan_query_request"
     table_id: str
     expr: ServerExpr
-    #: Attach one Merkle inclusion proof per matched row to the result
+    #: Attach one Merkle multiproof for the matched rows to the result
     #: (implies the version/root fields as well).
     include_proofs: bool = False
     #: Attach the commit version and Merkle root without proofs.
@@ -487,9 +487,10 @@ class PlanQueryResult(Message):
     #: them (``with_root`` or ``include_proofs``).
     version: int = -1
     merkle_root: str = ""
-    #: One inclusion proof (tuple of sibling digests) per matched row, in
-    #: ``row_indexes`` order; ``None`` unless ``include_proofs`` was set.
-    proofs: "tuple[tuple[bytes, ...], ...] | None" = None
+    #: One Merkle multiproof for all of ``row_indexes`` (the sibling
+    #: digests of :meth:`~repro.integrity.merkle.MerkleTree.multiproof`);
+    #: ``None`` unless ``include_proofs`` was set.
+    proof: "tuple[bytes, ...] | None" = None
 
     def _meta(self) -> dict[str, Any]:
         meta: dict[str, Any] = {
@@ -504,13 +505,9 @@ class PlanQueryResult(Message):
         return meta
 
     def _attachments(self, form: str) -> dict[str, bytes]:
-        if self.proofs is None:
+        if self.proof is None:
             return {}
-        return {
-            "proofs": encode_merkle_proofs(
-                self.num_rows, [list(path) for path in self.proofs], form
-            )
-        }
+        return {"proofs": encode_merkle_proofs(self.num_rows, self.proof, form)}
 
     @classmethod
     def _build(cls, meta, attachments) -> "PlanQueryResult":
@@ -523,16 +520,16 @@ class PlanQueryResult(Message):
             # num_rows anchors the owner's leakage denominator and her
             # desync check; defaulting it would make both silently wrong.
             raise WireError("plan_query_result without a stored row count")
-        proofs = None
+        proof = None
         proofs_payload = attachments.get("proofs")
         if proofs_payload is not None:
-            proof_leaves, paths = decode_merkle_proofs(proofs_payload)
+            proof_leaves, siblings = decode_merkle_proofs(proofs_payload)
             if proof_leaves != int(num_rows):
                 raise WireError(
-                    f"plan_query_result proofs claim {proof_leaves} leaves "
+                    f"plan_query_result proof claims {proof_leaves} leaves "
                     f"but the result reports {num_rows} rows"
                 )
-            proofs = tuple(tuple(path) for path in paths)
+            proof = tuple(siblings)
         return cls(
             table_id=check_table_id(meta.get("table_id", "")),
             row_indexes=tuple(int(index) for index in indexes),
@@ -540,7 +537,7 @@ class PlanQueryResult(Message):
             num_rows=int(num_rows),
             version=int(meta.get("version", -1)),
             merkle_root=str(meta.get("merkle_root", "")),
-            proofs=proofs,
+            proof=proof,
         )
 
 
@@ -2022,17 +2019,19 @@ class ProtocolServer:
                 "store.execute_expr", table=request.table_id, engine=store.engine
             ):
                 indexes, leaf_counts = execute_server_expr(store, request.expr)
-            version, root, proofs = -1, "", None
+            version, root, proof = -1, "", None
             if request.include_proofs:
-                # Proofs before root: both come off the same lazily-built
-                # tree, so the root always matches the proofs' tree.
+                # Proof before root: both come off the same lazily-built
+                # tree, so the root always matches the proof's tree.
                 with obs.span(
                     "integrity.prove", table=request.table_id, matches=len(indexes)
                 ) as proof_span:
-                    proofs = tuple(tuple(path) for path in store.merkle_proofs(indexes))
-                proof_bytes = sum(len(node) for path in proofs for node in path)
+                    proof = tuple(store.merkle_multiproof(indexes))
+                proof_bytes = sum(map(len, proof))
                 obs.counter("integrity.proof_bytes").inc(proof_bytes)
-                obs.counter("integrity.proofs_generated").inc(len(proofs))
+                # Rows proven, so proof_bytes / proofs_generated stays bytes
+                # per matched row.
+                obs.counter("integrity.proofs_generated").inc(len(indexes))
                 if proof_span is not None:
                     proof_span.tags["bytes"] = proof_bytes
             if request.include_proofs or request.with_root:
@@ -2044,7 +2043,7 @@ class ProtocolServer:
                 num_rows=store.num_rows,
                 version=version,
                 merkle_root=root,
-                proofs=proofs,
+                proof=proof,
             )
 
     def _handle_save_snapshot(self, request: SaveSnapshot, auth: _AuthContext) -> Message:
@@ -3010,7 +3009,7 @@ class ProtocolClient:
         ``expr`` is the server part of a :class:`~repro.query.planner.QueryPlan`;
         the reply carries the matched row indexes plus the per-leaf match
         cardinalities for leakage accounting.  ``include_proofs=True`` also
-        ships one Merkle inclusion proof per matched row (plus the commit
+        ships one Merkle multiproof for the matched rows (plus the commit
         version and root); ``with_root=True`` ships version and root alone.
         """
         return self._expect(

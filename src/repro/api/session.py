@@ -662,7 +662,8 @@ class RemoteOwnerSession:
     Merkle tree in a :class:`~repro.integrity.state.TableIntegrityState`,
     every write is CAS-armed with the last acknowledged commit version, and
     every query reply is checked — root agreement, ``(version, root)``
-    freshness, and per-matched-row inclusion proofs — before decryption.
+    freshness, and one Merkle multiproof covering every matched row —
+    before decryption.
     Passing a shared :class:`~repro.integrity.writers.WriteCoordinator`
     additionally lets several sessions (each with its own client/thread)
     write one table concurrently through optimistic CAS with rebase.
@@ -922,18 +923,18 @@ class RemoteOwnerSession:
         )
         if self.verify and self.integrity is not None:
             # All checks run BEFORE any decryption: the reply's (version,
-            # root, row count) claims first, then one inclusion proof per
-            # matched row against the agreed root.
+            # root, row count) claims first, then its one multiproof for the
+            # matched rows against the agreed root.
             self.integrity.check_reply(result.version, result.merkle_root, result.num_rows)
             if want_proofs:
-                if result.proofs is None:
+                if result.proof is None:
                     raise IntegrityError(
                         f"table {self.table_id!r}: provider omitted the "
-                        "requested inclusion proofs",
+                        "requested inclusion proof",
                         table_id=self.table_id,
                     )
                 self.integrity.verify_proofs(
-                    result.row_indexes, result.proofs, result.num_rows, result.merkle_root
+                    result.row_indexes, result.proof, result.num_rows, result.merkle_root
                 )
         matches = self.owner.decrypt_plan_result(plan, result)
         return matches, self.owner.query_leakage_report(plan, result)

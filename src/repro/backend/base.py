@@ -37,7 +37,7 @@ import sys
 from abc import ABC, abstractmethod
 from array import array as _stdlib_array
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any
 
 from repro.exceptions import BackendError, BackendUnavailableError
@@ -47,6 +47,9 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Name of the always-available reference backend.
 DEFAULT_BACKEND = "python"
+
+#: Maps the ASCII digits of ``bin(mask)`` to 0/1 bytes for ``compress``.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ComputeBackend(ABC):
@@ -245,11 +248,18 @@ class ComputeBackend(ABC):
     def mask_to_rows(self, mask: Any) -> list[int]:
         """The rows of a mask as ascending indexes.
 
-        Cost: one C-level pass over ``bin(mask)`` (O(rows)) plus one
-        ``str.find`` step per match.  The binary string is reversed so
-        that string position ``i`` is row ``i``.
+        The binary string is reversed so that string position ``i`` is row
+        ``i``.  A sparse mask is scanned with one ``str.find`` step per
+        match; a dense one (more than one row in eight set) is read in a
+        single ``itertools.compress`` pass over the digits translated to
+        0/1 bytes, which costs O(rows) however many rows match.  Both are
+        C-level passes and return the same list.
         """
-        digits = bin(int(mask))[:1:-1]
+        mask = int(mask)
+        digits = bin(mask)[:1:-1]
+        if mask.bit_count() * 8 > mask.bit_length():
+            flags = digits.encode("ascii").translate(_DIGIT_FLAGS)
+            return list(compress(range(len(flags)), flags))
         find = digits.find
         rows: list[int] = []
         append = rows.append

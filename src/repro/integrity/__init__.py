@@ -8,7 +8,7 @@ or modified ciphertext.  This package closes that gap:
 * :mod:`repro.integrity.merkle` — an incrementally-maintained Merkle tree
   over ciphertext rows (leaf = hash of the row's wire-canonical cell bytes,
   the same canonical form as :func:`repro.api.delta.relation_digest`), with
-  O(log n) appends and compact inclusion proofs.
+  O(log n) appends and one compact multiproof per set of proven rows.
 * :mod:`repro.integrity.state` — the owner's per-table verification state:
   her own copy of the leaf hashes plus a monotonic ``(version, root)``
   freshness chain, raising :class:`repro.exceptions.IntegrityError` on any
@@ -31,7 +31,7 @@ from repro.integrity.merkle import (
     hash_row,
     leaves_after_delta,
     relation_leaves,
-    verify_proof,
+    verify_multiproof,
 )
 from repro.integrity.state import TableIntegrityState
 from repro.integrity.verify import verify_storage_dir
@@ -45,6 +45,6 @@ __all__ = [
     "hash_row",
     "leaves_after_delta",
     "relation_leaves",
-    "verify_proof",
+    "verify_multiproof",
     "verify_storage_dir",
 ]

@@ -14,10 +14,19 @@ count and makes appends strictly right-edge work: :meth:`MerkleTree.append`
 touches O(log n) nodes, matching the O(delta) cost profile of the segment
 store's ``InsertDelta`` path.
 
-Inclusion proofs (:meth:`MerkleTree.proof` / :func:`verify_proof`) carry
-only the sibling digests; orientation and promotions are re-derived at
-verification time from the leaf index and the tree's leaf count, so a proof
-is ``32 * ceil(log2(n))`` bytes at most.
+Inclusion is proven by one *multiproof* per set of rows
+(:meth:`MerkleTree.multiproof` / :func:`verify_multiproof`): the sibling
+digests that the union of the rows' leaf-to-root paths needs and that cannot
+be derived from the proven leaves themselves.  Prover and verifier walk the
+tree level by level from the leaves up, in ascending node index within a
+level; a sibling is emitted only if it exists (a promoted odd tail emits
+nothing) and is not itself a node already known at that level.  Orientation
+and promotions are re-derived from the indexes and the leaf count, so only
+digests travel.  For ``k`` rows the multiproof is at most
+``32 * k * ceil(log2(n))`` bytes and much less when the rows cluster: paths
+that meet share every node above the meeting point, and two matched
+siblings need no digest at all.  One index gives exactly the classic
+inclusion path.
 """
 
 from __future__ import annotations
@@ -91,9 +100,13 @@ class MerkleTree:
         return len(self._levels[0])
 
     @property
-    def leaves(self) -> list[bytes]:
-        """The leaf digests (a copy; mutating it does not touch the tree)."""
-        return list(self._levels[0])
+    def leaves(self) -> Sequence[bytes]:
+        """The live leaf level, not a copy: callers must not mutate it.
+
+        Handing out the level itself keeps per-select verification and
+        delta replay O(touched leaves) instead of copying every leaf.
+        """
+        return self._levels[0]
 
     @property
     def root(self) -> str:
@@ -128,53 +141,97 @@ class MerkleTree:
             level += 1
         del self._levels[level + 1 :]
 
-    def proof(self, index: int) -> list[bytes]:
-        """Sibling digests from leaf ``index`` up to (excluding) the root.
+    def multiproof(self, indexes: Sequence[int]) -> list[bytes]:
+        """The sibling digests proving the leaves at ``indexes`` (ascending).
 
-        Levels where the node is promoted (an odd tail with no sibling)
-        contribute nothing; :func:`verify_proof` re-derives which levels
-        those are from ``(index, num_leaves)``.
+        Walks the levels bottom-up; at each level a known node whose
+        sibling is also known (two adjacent proven nodes) needs nothing, a
+        promoted odd tail needs nothing, and every other known node emits
+        its sibling.  :func:`verify_multiproof` consumes them in the same
+        order.
         """
-        if not 0 <= index < self.num_leaves:
+        if not _ascending_within(indexes, self.num_leaves):
             raise IntegrityError(
-                f"proof index {index} outside the tree's {self.num_leaves} leaves"
+                f"multiproof indexes must be strictly ascending and inside "
+                f"the tree's {self.num_leaves} leaves"
             )
-        path: list[bytes] = []
-        j = index
+        siblings: list[bytes] = []
+        known = list(indexes)
         for level in self._levels[:-1]:
-            sibling = j ^ 1
-            if sibling < len(level):
-                path.append(level[sibling])
-            j //= 2
-        return path
+            width = len(level)
+            parents: list[int] = []
+            i, count = 0, len(known)
+            while i < count:
+                j = known[i]
+                if i + 1 < count and known[i + 1] == j ^ 1:
+                    i += 2
+                else:
+                    if j ^ 1 < width:
+                        siblings.append(level[j ^ 1])
+                    i += 1
+                parents.append(j >> 1)
+            known = parents
+        return siblings
 
 
-def verify_proof(
-    leaf: bytes, index: int, num_leaves: int, path: Sequence[bytes], root: str
+def _ascending_within(indexes: Sequence[int], num_leaves: int) -> bool:
+    """Whether ``indexes`` is strictly ascending and inside ``num_leaves``."""
+    previous = -1
+    for index in indexes:
+        if index <= previous:
+            return False
+        previous = index
+    return previous < num_leaves
+
+
+def verify_multiproof(
+    leaves: Sequence[bytes],
+    indexes: Sequence[int],
+    siblings: Sequence[bytes],
+    root: str,
 ) -> bool:
-    """Check an inclusion proof against a root, given the tree's leaf count.
+    """Check a multiproof of the leaves at ``indexes`` against ``root``.
 
-    Walks the same level widths the prover had, so promotions consume no
-    path element; returns ``False`` on any mismatch, including a path of
-    the wrong length for ``(index, num_leaves)``.
+    ``leaves`` is the verifier's own leaf level (its length is the tree's
+    leaf count), so the prover never supplies the digests being proven.
+    The indexes must be strictly ascending and inside it.  Recomputes every
+    node on the union of the paths, drawing a sibling only where the prover
+    emitted one, and returns ``False`` on any mismatch: a wrong index, a
+    sibling too few or too many, or a root that differs.  An empty index
+    set proves nothing and is accepted only with no siblings.
     """
-    if num_leaves <= 0 or not 0 <= index < num_leaves:
+    num_leaves = len(leaves)
+    if not _ascending_within(indexes, num_leaves):
         return False
-    node = leaf
-    j = index
+    if not indexes:
+        return not siblings
+    known: Sequence[int] = indexes
+    nodes = [leaves[index] for index in indexes]
+    cursor, total = 0, len(siblings)
     width = num_leaves
-    cursor = 0
     while width > 1:
-        sibling = j ^ 1
-        if sibling < width:
-            if cursor >= len(path):
-                return False
-            other = path[cursor]
-            cursor += 1
-            node = _hash_pair(node, other) if j % 2 == 0 else _hash_pair(other, node)
-        j //= 2
+        parents: list[int] = []
+        hashed: list[bytes] = []
+        i, count = 0, len(known)
+        while i < count:
+            j = known[i]
+            node = nodes[i]
+            if i + 1 < count and known[i + 1] == j ^ 1:
+                node = _hash_pair(node, nodes[i + 1])
+                i += 2
+            else:
+                if j ^ 1 < width:
+                    if cursor == total:
+                        return False
+                    other = siblings[cursor]
+                    cursor += 1
+                    node = _hash_pair(node, other) if j & 1 == 0 else _hash_pair(other, node)
+                i += 1
+            parents.append(j >> 1)
+            hashed.append(node)
+        known, nodes = parents, hashed
         width = (width + 1) // 2
-    return cursor == len(path) and node.hex() == root
+    return cursor == total and nodes[0].hex() == root
 
 
 def leaves_after_delta(base_leaves: Sequence[bytes], delta: "ViewDelta") -> list[bytes]:

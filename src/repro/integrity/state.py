@@ -11,8 +11,9 @@ against it —
   monotonically: a lower version than any previously seen, or a different
   root at the same version, means the provider rolled back or forked the
   table;
-* **inclusion** — each matched row's proof must lead from the owner's own
-  leaf hash to the agreed root, placing the row at the claimed index.
+* **inclusion** — the reply's one multiproof must lead from the owner's
+  own leaf hashes of every matched row to the agreed root, placing each row
+  at its claimed index.
 
 Every violation raises :class:`repro.exceptions.IntegrityError` with the
 table id attached.  The state is thread-safe and shareable: concurrent
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.exceptions import IntegrityError
-from repro.integrity.merkle import MerkleTree, relation_leaves, verify_proof
+from repro.integrity.merkle import MerkleTree, relation_leaves, verify_multiproof
 from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -129,11 +130,11 @@ class TableIntegrityState:
     def verify_proofs(
         self,
         row_indexes: Sequence[int],
-        proofs: Sequence[Sequence[bytes]],
+        siblings: Sequence[bytes],
         num_leaves: int,
         root: str,
     ) -> None:
-        """Check one inclusion proof per matched row against ``root``.
+        """Check the reply's multiproof for ``row_indexes`` against ``root``.
 
         The leaf hashes come from the owner's own tree — the server proves
         *placement*, it never gets to supply the row bytes being proven.
@@ -141,21 +142,19 @@ class TableIntegrityState:
         with obs.span(
             "integrity.verify_proofs",
             table=self.table_id,
-            proofs=len(proofs),
+            proofs=len(row_indexes),
         ) as span_obj:
             started = time.perf_counter()
-            self._verify_proofs(row_indexes, proofs, num_leaves, root)
+            self._verify_proofs(row_indexes, siblings, num_leaves, root)
             if span_obj is not None:
                 _VERIFY_SECONDS.observe(time.perf_counter() - started)
-                _PROOFS_VERIFIED.inc(len(proofs))
-                _PROOF_BYTES_VERIFIED.inc(
-                    sum(len(node) for path in proofs for node in path)
-                )
+                _PROOFS_VERIFIED.inc(len(row_indexes))
+                _PROOF_BYTES_VERIFIED.inc(sum(len(node) for node in siblings))
 
     def _verify_proofs(
         self,
         row_indexes: Sequence[int],
-        proofs: Sequence[Sequence[bytes]],
+        siblings: Sequence[bytes],
         num_leaves: int,
         root: str,
     ) -> None:
@@ -167,32 +166,18 @@ class TableIntegrityState:
                 "proofs against",
                 table_id=self.table_id,
             )
-        if len(proofs) != len(row_indexes):
-            raise IntegrityError(
-                f"table {self.table_id!r}: {len(proofs)} proofs for "
-                f"{len(row_indexes)} matched rows",
-                table_id=self.table_id,
-            )
         if num_leaves != tree.num_leaves:
             raise IntegrityError(
-                f"table {self.table_id!r}: proofs claim a {num_leaves}-row "
+                f"table {self.table_id!r}: proof claims a {num_leaves}-row "
                 f"tree, owner expects {tree.num_leaves}",
                 table_id=self.table_id,
             )
-        leaves = tree.leaves
-        for index, path in zip(row_indexes, proofs):
-            if not 0 <= index < len(leaves):
-                raise IntegrityError(
-                    f"table {self.table_id!r}: matched row {index} outside "
-                    f"the {len(leaves)}-row table",
-                    table_id=self.table_id,
-                )
-            if not verify_proof(leaves[index], index, num_leaves, path, root):
-                raise IntegrityError(
-                    f"table {self.table_id!r}: inclusion proof for row "
-                    f"{index} does not verify against the root",
-                    table_id=self.table_id,
-                )
+        if not verify_multiproof(tree.leaves, row_indexes, siblings, root):
+            raise IntegrityError(
+                f"table {self.table_id!r}: multiproof for {len(row_indexes)} "
+                "matched rows does not verify against the root",
+                table_id=self.table_id,
+            )
 
     # -- internals ------------------------------------------------------
     def _check_freshness_locked(self, version: int, root: str) -> None:

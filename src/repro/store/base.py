@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, TYPE_CHECKING
+from typing import Any, Iterable, Sequence, TYPE_CHECKING
 
 from repro.backend import ComputeBackend
 from repro.relational.table import Relation
@@ -139,10 +139,9 @@ class TableStore(ABC):
         """Hex root over the current ciphertext rows."""
         return self.merkle_tree().root
 
-    def merkle_proofs(self, indexes: Iterable[int]) -> list[list[bytes]]:
-        """Inclusion proofs for the given row indexes, in the given order."""
-        tree = self.merkle_tree()
-        return [tree.proof(index) for index in indexes]
+    def merkle_multiproof(self, indexes: Sequence[int]) -> list[bytes]:
+        """One multiproof for the given (ascending) row indexes."""
+        return self.merkle_tree().multiproof(indexes)
 
     def _merkle_candidate(self, delta: "ViewDelta", base_rows: int) -> "MerkleTree | None":
         """The tree a (structurally validated) delta produces, or ``None``.

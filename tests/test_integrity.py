@@ -1,6 +1,6 @@
 """Unit tests of the trustworthy-server building blocks (PR 8).
 
-Covers the Merkle tree (construction, O(log n) appends, inclusion proofs,
+Covers the Merkle tree (construction, O(log n) appends, multiproofs,
 odd-tail promotion), the wire codec for proof attachments, the owner's
 :class:`~repro.integrity.state.TableIntegrityState` (root agreement,
 freshness chain, proof checking), reply signing, resumption tickets, and
@@ -8,8 +8,12 @@ the :class:`~repro.exceptions.StoreIntegrityWarning` category.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.auth import (
     open_ticket,
@@ -18,6 +22,7 @@ from repro.api.auth import (
     verify_reply,
 )
 from repro.api.delta import compute_view_delta, relation_digest
+from repro.api.protocol import Message, PlanQueryResult
 from repro.exceptions import AuthError, IntegrityError, StoreIntegrityWarning, WireError
 from repro.integrity.merkle import (
     EMPTY_ROOT,
@@ -25,11 +30,13 @@ from repro.integrity.merkle import (
     hash_row,
     leaves_after_delta,
     relation_leaves,
-    verify_proof,
+    verify_multiproof,
 )
 from repro.integrity.state import TableIntegrityState
 from repro.relational.table import Relation
 from repro.wire import decode_merkle_proofs, encode_merkle_proofs
+from repro.wire.binary import ByteWriter
+from repro.wire.proofs import PROOFS_MAGIC
 
 
 def leaves(n: int) -> list[bytes]:
@@ -83,6 +90,11 @@ class TestMerkleTree:
         tree.extend([])
         assert tree.root == before
 
+    def test_leaves_is_the_live_level_not_a_copy(self):
+        tree = MerkleTree(leaves(4))
+        assert tree.leaves is tree.leaves
+        assert list(tree.leaves) == leaves(4)
+
     def test_copy_is_independent(self):
         tree = MerkleTree(leaves(4))
         clone = tree.copy()
@@ -96,35 +108,71 @@ class TestMerkleTree:
         ls = leaves(size)
         tree = MerkleTree(ls)
         for i in range(size):
-            path = tree.proof(i)
-            assert verify_proof(ls[i], i, size, path, tree.root)
-            assert len(path) <= max(1, size - 1).bit_length()
+            # A one-index multiproof is the classic inclusion path.
+            siblings = tree.multiproof([i])
+            assert verify_multiproof(ls, [i], siblings, tree.root)
+            assert len(siblings) <= max(1, size - 1).bit_length()
+        everything = list(range(size))
+        assert tree.multiproof(everything) == []
+        assert verify_multiproof(ls, everything, [], tree.root)
 
     def test_proof_fails_for_wrong_leaf_index_or_root(self):
         ls = leaves(7)
         tree = MerkleTree(ls)
-        path = tree.proof(3)
-        assert not verify_proof(ls[2], 3, 7, path, tree.root)  # wrong leaf
-        assert not verify_proof(ls[3], 2, 7, path, tree.root)  # wrong index
-        assert not verify_proof(ls[3], 3, 7, path, MerkleTree(leaves(6)).root)
-        assert not verify_proof(ls[3], 3, 7, path[:-1], tree.root)  # truncated
-        assert not verify_proof(ls[3], 3, 7, path + [ls[0]], tree.root)  # padded
-        assert not verify_proof(ls[3], 3, 0, path, tree.root)
-        assert not verify_proof(ls[3], 9, 7, path, tree.root)
+        path = tree.multiproof([3])
+        root = tree.root
+        assert verify_multiproof(ls, [3], path, root)
+        wrong_leaf = ls[:3] + [ls[2]] + ls[4:]
+        assert not verify_multiproof(wrong_leaf, [3], path, root)
+        assert not verify_multiproof(ls, [2], path, root)  # wrong index
+        assert not verify_multiproof(ls, [3], path, MerkleTree(leaves(6)).root)
+        assert not verify_multiproof(ls, [3], path[:-1], root)  # truncated
+        assert not verify_multiproof(ls, [3], path + [ls[0]], root)  # padded
+        assert not verify_multiproof([], [3], path, root)  # zero leaves
+        assert not verify_multiproof(ls, [9], path, root)  # out of range
+        assert not verify_multiproof(ls, [-1], path, root)
 
     def test_promoted_tail_contributes_no_path_element(self):
         # In a 5-leaf tree, leaf 4 is promoted until the final pairing: its
         # proof is a single sibling (the 4-leaf subtree root).
         ls = leaves(5)
         tree = MerkleTree(ls)
-        path = tree.proof(4)
+        path = tree.multiproof([4])
         assert len(path) == 1
         assert path[0].hex() == MerkleTree(ls[:4]).root
-        assert verify_proof(ls[4], 4, 5, path, tree.root)
+        assert verify_multiproof(ls, [4], path, tree.root)
+
+    def test_shared_paths_are_sent_once(self):
+        # Leaves 0 and 1 are siblings: neither needs the other's digest,
+        # and their common path above is sent once.
+        ls = leaves(8)
+        tree = MerkleTree(ls)
+        siblings = tree.multiproof([0, 1])
+        assert siblings == tree.multiproof([0])[1:]
+        assert len(siblings) == 2
+        assert verify_multiproof(ls, [0, 1], siblings, tree.root)
+        # Leaves 0 and 7 share only the root: 2 + 2 siblings.
+        assert len(tree.multiproof([0, 7])) == 4
 
     def test_proof_out_of_range_raises(self):
         with pytest.raises(IntegrityError):
-            MerkleTree(leaves(3)).proof(3)
+            MerkleTree(leaves(3)).multiproof([3])
+        with pytest.raises(IntegrityError):
+            MerkleTree(leaves(3)).multiproof([-1])
+
+    def test_unsorted_or_duplicate_indexes_raise(self):
+        tree = MerkleTree(leaves(6))
+        for indexes in ([2, 1], [1, 1], [0, 3, 3]):
+            with pytest.raises(IntegrityError, match="ascending"):
+                tree.multiproof(indexes)
+
+    def test_empty_index_set_proves_nothing(self):
+        ls = leaves(5)
+        tree = MerkleTree(ls)
+        assert tree.multiproof([]) == []
+        assert verify_multiproof(ls, [], [], tree.root)
+        assert not verify_multiproof(ls, [], [ls[0]], tree.root)
+        assert MerkleTree().multiproof([]) == []
 
     def test_relation_leaves_match_canonical_digest_bytes(self):
         # Same canonical cell bytes as relation_digest: two relations with
@@ -133,6 +181,112 @@ class TestMerkleTree:
         rel_b = Relation(["A", "B"], [["x", "1"], ["y", "2"]], name="other")
         assert relation_leaves(rel_a) == relation_leaves(rel_b)
         assert relation_digest(rel_a) == relation_digest(rel_b)
+
+
+@st.composite
+def trees_with_index_sets(draw):
+    """A leaf count (tiny, odd tails, powers of two ±1, up to ~1k) and an
+    ascending index subset of it (empty, one, all, or random density)."""
+    n = draw(
+        st.one_of(
+            st.integers(1, 40),
+            st.sampled_from([63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513]),
+            st.integers(600, 1025),
+        )
+    )
+    kind = draw(st.sampled_from(["empty", "one", "all", "subset"]))
+    if kind == "empty":
+        indexes = []
+    elif kind == "one":
+        indexes = [draw(st.integers(0, n - 1))]
+    elif kind == "all":
+        indexes = list(range(n))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        density = draw(st.sampled_from([0.01, 0.1, 0.33, 0.5, 0.9]))
+        indexes = [i for i in range(n) if rng.random() < density]
+    return n, indexes
+
+
+_LEAVES_CACHE: dict[int, list[bytes]] = {}
+
+
+def cached_leaves(n: int) -> list[bytes]:
+    if n not in _LEAVES_CACHE:
+        _LEAVES_CACHE[n] = leaves(n)
+    return _LEAVES_CACHE[n]
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestMultiproofProperties:
+    @PROPERTY
+    @given(trees_with_index_sets())
+    def test_multiproof_verifies_and_round_trips(self, case):
+        n, indexes = case
+        ls = cached_leaves(n)
+        tree = MerkleTree(ls)
+        siblings = tree.multiproof(indexes)
+        assert verify_multiproof(ls, indexes, siblings, tree.root)
+        # Never more than k separate paths would carry.
+        assert len(siblings) <= len(indexes) * (n - 1).bit_length()
+        for form in ("binary", "json"):
+            assert decode_merkle_proofs(encode_merkle_proofs(n, siblings, form)) == (
+                n,
+                siblings,
+            )
+
+    @PROPERTY
+    @given(trees_with_index_sets(), st.data())
+    def test_any_tampering_fails(self, case, data):
+        n, indexes = case
+        ls = cached_leaves(n)
+        tree = MerkleTree(ls)
+        root = tree.root
+        siblings = tree.multiproof(indexes)
+        # An appended sibling is never consumed.
+        assert not verify_multiproof(ls, indexes, siblings + [ls[0]], root)
+        if siblings:
+            at = data.draw(st.integers(0, len(siblings) - 1), label="sibling")
+            byte = data.draw(st.integers(0, 31), label="byte")
+            flipped = bytearray(siblings[at])
+            flipped[byte] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            tampered = siblings[:at] + [bytes(flipped)] + siblings[at + 1 :]
+            assert not verify_multiproof(ls, indexes, tampered, root)
+            dropped = siblings[:at] + siblings[at + 1 :]
+            assert not verify_multiproof(ls, indexes, dropped, root)
+        if len(siblings) >= 2:
+            a, b = sorted(
+                data.draw(
+                    st.lists(
+                        st.integers(0, len(siblings) - 1),
+                        min_size=2,
+                        max_size=2,
+                        unique=True,
+                    ),
+                    label="swap",
+                )
+            )
+            swapped = list(siblings)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            assert not verify_multiproof(ls, indexes, swapped, root)
+        if indexes:
+            at = data.draw(st.integers(0, len(indexes) - 1), label="duplicate")
+            duplicated = indexes[: at + 1] + indexes[at:]
+            assert not verify_multiproof(ls, duplicated, siblings, root)
+        if len(indexes) >= 2:
+            at = data.draw(st.integers(0, len(indexes) - 2), label="unsort")
+            unsorted = list(indexes)
+            unsorted[at], unsorted[at + 1] = unsorted[at + 1], unsorted[at]
+            assert not verify_multiproof(ls, unsorted, siblings, root)
+        if 0 < len(indexes) < n:
+            # Proving set A while claiming a different set B of equal size.
+            rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="B"))
+            claimed = indexes
+            while claimed == indexes:
+                claimed = sorted(rng.sample(range(n), len(indexes)))
+            assert not verify_multiproof(ls, claimed, siblings, root)
 
 
 class TestLeavesAfterDelta:
@@ -159,11 +313,16 @@ class TestProofCodec:
     @pytest.mark.parametrize("form", ["binary", "json"])
     def test_round_trip(self, form):
         tree = MerkleTree(leaves(9))
-        paths = [tree.proof(i) for i in (0, 4, 8)]
-        blob = encode_merkle_proofs(9, paths, form)
+        siblings = tree.multiproof([0, 4, 8])
+        blob = encode_merkle_proofs(9, siblings, form)
         num_leaves, decoded = decode_merkle_proofs(blob)
         assert num_leaves == 9
-        assert decoded == paths
+        assert decoded == siblings
+        if form == "binary":
+            assert blob[:4] == PROOFS_MAGIC == b"F2P\x02"
+            assert len(blob) == 4 + 1 + 1 + 32 * len(siblings)
+        else:
+            assert b"f2-merkle-proofs/2" in blob
 
     @pytest.mark.parametrize("form", ["binary", "json"])
     def test_empty_paths(self, form):
@@ -175,8 +334,79 @@ class TestProofCodec:
             decode_merkle_proofs(b"\x99garbage")
 
     def test_binary_rejects_non_digest_lengths(self):
+        for form in ("binary", "json"):
+            with pytest.raises(WireError):
+                encode_merkle_proofs(2, [b"short"], form)
+
+
+class TestHostileProofBlobs:
+    """Malformed proof blobs raise only WireError and never allocate more
+    than they carry."""
+
+    @staticmethod
+    def binary(num_leaves: int, count: int, body: bytes) -> bytes:
+        writer = ByteWriter()
+        writer.raw(PROOFS_MAGIC)
+        writer.uvarint(num_leaves)
+        writer.uvarint(count)
+        writer.raw(body)
+        return writer.getvalue()
+
+    @pytest.mark.parametrize(
+        "count, carried", [(1, 31), (2, 32), (3, 32), (1 << 40, 32), (1 << 62, 32)]
+    )
+    def test_count_beyond_the_blob(self, count, carried):
+        with pytest.raises(WireError, match="truncated"):
+            decode_merkle_proofs(self.binary(8, count, b"\xab" * carried))
+
+    def test_trailing_bytes_after_the_digests(self):
+        with pytest.raises(WireError, match="trailing"):
+            decode_merkle_proofs(self.binary(8, 1, b"\xab" * 33))
+
+    def test_truncated_header(self):
+        for blob in (PROOFS_MAGIC, PROOFS_MAGIC + b"\x08", PROOFS_MAGIC + b"\x88"):
+            with pytest.raises(WireError):
+                decode_merkle_proofs(blob)
+
+    def test_retired_per_row_layout_rejected(self):
+        # Version 1 carried one length-prefixed path per row.
+        v1 = b"F2P\x01" + b"\x08\x01\x01" + b"\xab" * 32
         with pytest.raises(WireError):
-            encode_merkle_proofs(2, [[b"short"]], "binary")
+            decode_merkle_proofs(v1)
+        v1_json = b'{"format":"f2-merkle-proofs/1","num_leaves":8,"paths":[]}'
+        with pytest.raises(WireError):
+            decode_merkle_proofs(v1_json)
+
+    @pytest.mark.parametrize(
+        "siblings",
+        [["ab" * 31], ["ab" * 33], ["zz" * 32], [7], [["ab" * 32]], "ab" * 32, None],
+    )
+    def test_json_with_a_malformed_digest(self, siblings):
+        doc = {"format": "f2-merkle-proofs/2", "num_leaves": 8, "siblings": siblings}
+        with pytest.raises(WireError):
+            decode_merkle_proofs(json.dumps(doc).encode("utf-8"))
+
+    def test_proof_leaf_count_must_match_the_result(self):
+        result = PlanQueryResult(
+            table_id="orders",
+            row_indexes=(1, 2),
+            leaf_match_counts=(2,),
+            num_rows=5,
+            version=1,
+            merkle_root=MerkleTree(leaves(5)).root,
+            proof=tuple(MerkleTree(leaves(5)).multiproof([1, 2])),
+        )
+        for form in ("binary", "json"):
+            assert Message.decode(result.encode(form)) == result
+        doc = json.loads(result.encode("json"))
+        doc["meta"]["num_rows"] = 4
+        with pytest.raises(WireError, match="5 leaves"):
+            Message.decode(json.dumps(doc).encode("utf-8"))
+
+    def test_json_without_fields(self):
+        for doc in ({"format": "f2-merkle-proofs/2"}, [], {"num_leaves": "x"}):
+            with pytest.raises(WireError):
+                decode_merkle_proofs(json.dumps(doc).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -243,17 +473,28 @@ class TestTableIntegrityState:
     def test_verify_proofs_accepts_and_rejects(self):
         state, view = self.make_state(rows=6)
         tree = MerkleTree(relation_leaves(view))
+        n, root = tree.num_leaves, tree.root
         indexes = [1, 4]
-        proofs = [tree.proof(i) for i in indexes]
-        state.verify_proofs(indexes, proofs, tree.num_leaves, tree.root)
+        siblings = tree.multiproof(indexes)
+        state.verify_proofs(indexes, siblings, n, root)
+        state.verify_proofs([], [], n, root)
         with pytest.raises(IntegrityError, match="does not verify"):
-            state.verify_proofs([1, 5], proofs, tree.num_leaves, tree.root)
-        with pytest.raises(IntegrityError, match="proofs for"):
-            state.verify_proofs(indexes, proofs[:1], tree.num_leaves, tree.root)
+            state.verify_proofs([1, 5], siblings, n, root)  # wrong index
+        with pytest.raises(IntegrityError, match="does not verify"):
+            state.verify_proofs([4], siblings, n, root)  # wrong leaf set
+        with pytest.raises(IntegrityError, match="does not verify"):
+            state.verify_proofs(indexes, siblings, n, "ab" * 32)  # wrong root
+        with pytest.raises(IntegrityError, match="does not verify"):
+            state.verify_proofs(indexes, siblings[:-1], n, root)  # truncated
+        with pytest.raises(IntegrityError, match="does not verify"):
+            state.verify_proofs(indexes, siblings + [siblings[0]], n, root)  # padded
         with pytest.raises(IntegrityError, match="-row tree"):
-            state.verify_proofs(indexes, proofs, tree.num_leaves + 1, tree.root)
-        with pytest.raises(IntegrityError, match="outside"):
-            state.verify_proofs([99, 4], proofs, tree.num_leaves, tree.root)
+            state.verify_proofs(indexes, siblings, n + 1, root)
+        with pytest.raises(IntegrityError, match="-row tree"):
+            state.verify_proofs(indexes, siblings, 0, root)  # zero leaves
+        for bad in ([4, 99], [-1, 4], [4, 1], [1, 1]):  # out of range or order
+            with pytest.raises(IntegrityError, match="does not verify"):
+                state.verify_proofs(bad, siblings, n, root)
 
 
 # ----------------------------------------------------------------------

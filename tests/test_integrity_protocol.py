@@ -11,6 +11,7 @@ pins zero full-view fallbacks.
 import shutil
 import threading
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from repro.api import (
     RemoteOwnerSession,
     TenantRegistry,
 )
-from repro.api.protocol import SignedReply
+from repro.api.protocol import PlanQueryResult, SignedReply
 from repro.backend import numpy_available
 from repro.core.config import F2Config
 from repro.exceptions import AuthError, IntegrityError, ProtocolError
@@ -232,6 +233,76 @@ class TestSignedReplies:
         transport.replay = True
         with pytest.raises(IntegrityError):
             session.query("City", "Jersey")
+
+
+# ----------------------------------------------------------------------
+# A signing provider that corrupts its own multiproof
+# ----------------------------------------------------------------------
+class _ProofTamperingServer(ProtocolServer):
+    """Edits the multiproof of every plan-query reply *before* signing it,
+    so the signature verifies and only the proof check can catch it."""
+
+    mode: "str | None" = None
+
+    def handle(self, request, *args, **kwargs):
+        reply = super().handle(request, *args, **kwargs)
+        if self.mode is None or not isinstance(reply, PlanQueryResult):
+            return reply
+        proof = list(reply.proof or ())
+        indexes = list(reply.row_indexes)
+        if self.mode == "flip":
+            proof[0] = bytes([proof[0][0] ^ 0x01]) + proof[0][1:]
+        elif self.mode == "drop":
+            proof.pop()
+        elif self.mode == "extra":
+            proof.append(proof[0])
+        elif self.mode == "swap":
+            proof[0], proof[1] = proof[1], proof[0]
+        elif self.mode == "moved":
+            # Claim a row the predicate did not match in place of one it did.
+            unmatched = next(i for i in range(reply.num_rows) if i not in indexes)
+            indexes = sorted(indexes[1:] + [unmatched])
+        return replace(reply, proof=tuple(proof), row_indexes=tuple(indexes))
+
+
+class TestProofTampering:
+    PREDICATE = "City in (Hoboken, Jersey)"
+
+    def make_session(self, registry):
+        credential = registry.mint("acme", "owner")
+        server = _ProofTamperingServer(tenants=registry)
+        owner = make_owner()
+        session = verified_session(server, credential, owner=owner)
+        session.outsource(base_relation())
+        decrypted = []
+        original = owner.decrypt_plan_result
+
+        def recording(plan, result):
+            decrypted.append(result)
+            return original(plan, result)
+
+        owner.decrypt_plan_result = recording
+        return server, session, decrypted
+
+    def test_honest_multiproof_verifies(self, registry):
+        server, session, decrypted = self.make_session(registry)
+        matches = session.select(self.PREDICATE)
+        expected = [r for r in ROWS if r[0] in ("Hoboken", "Jersey")]
+        assert sorted(map(list, matches.rows())) == sorted(expected)
+        (result,) = decrypted
+        # The reply is worth tampering with: several distinct siblings,
+        # and fewer rows matched than stored.
+        assert result.proof is not None and len(set(result.proof)) >= 2
+        assert len(result.row_indexes) < result.num_rows
+
+    @pytest.mark.parametrize("mode", ["flip", "drop", "extra", "swap", "moved"])
+    def test_tampered_multiproof_raises_before_decryption(self, registry, mode):
+        server, session, decrypted = self.make_session(registry)
+        server.mode = mode
+        with pytest.raises(IntegrityError, match="multiproof") as excinfo:
+            session.select(self.PREDICATE)
+        assert "orders" in str(excinfo.value)
+        assert decrypted == []
 
 
 # ----------------------------------------------------------------------

@@ -102,22 +102,31 @@ class TestMaskPrimitives:
     # The python primitives against a naive reference, on the code-array
     # shapes the stores hand them: plain lists (coded relations) and stdlib
     # arrays of every width (``from_code_bytes`` / ``concat_code_arrays``).
+    # ``spread`` sets the match density (one wanted code matches about
+    # 1/spread of the rows), so ``mask_to_rows`` runs both its sparse
+    # ``str.find`` scan and its dense ``compress`` pass: near-empty masks
+    # (spread 256), ~1/8 density (spread 8), near-full masks (spread 1, and
+    # every ``rows_not`` of a sparse mask).
     @settings(max_examples=80, deadline=None)
     @given(
         container=st.sampled_from(["list", "B", "H", "I", "Q", "q"]),
         num_rows=st.sampled_from([0, 1, 63, 64, 65, 1000, 1001]),
         seed=st.integers(min_value=0, max_value=2**32),
         wanted=st.lists(st.integers(min_value=0, max_value=11), max_size=5),
+        spread=st.sampled_from([1, 8, 64, 256]),
     )
-    @example(container="list", num_rows=65, seed=0, wanted=[])
-    @example(container="B", num_rows=64, seed=0, wanted=[3, 3, 3])
-    @example(container="q", num_rows=1000, seed=0, wanted=[8, 9, 10, 11])
+    @example(container="list", num_rows=65, seed=0, wanted=[], spread=8)
+    @example(container="B", num_rows=64, seed=0, wanted=[3, 3, 3], spread=8)
+    @example(container="q", num_rows=1000, seed=0, wanted=[8, 9, 10, 11], spread=8)
+    @example(container="list", num_rows=1001, seed=1, wanted=[3], spread=256)
+    @example(container="I", num_rows=1001, seed=2, wanted=[3], spread=8)
+    @example(container="H", num_rows=1000, seed=3, wanted=[0], spread=1)
     def test_python_primitives_match_naive_reference(
-        self, container, num_rows, seed, wanted
+        self, container, num_rows, seed, wanted, spread
     ):
         backend = get_backend("python")
         rng = random.Random(seed)
-        values = [rng.randrange(8) for _ in range(num_rows)]
+        values = [rng.randrange(spread) for _ in range(num_rows)]
         codes = values if container == "list" else array(container, values)
         wanted_set = set(wanted)
         expected = [row for row, code in enumerate(codes) if code in wanted_set]
@@ -146,6 +155,11 @@ class TestMaskPrimitives:
 
     def test_python_mask_to_rows_edges(self):
         backend = get_backend("python")
+        # Either side of the dense threshold (more than 1 row in 8 set).
+        for mask in (0b1 << 8, 0b11 << 7, (1 << 16) - 1, 1 << 16 | 1):
+            assert backend.mask_to_rows(mask) == [
+                row for row in range(mask.bit_length()) if mask >> row & 1
+            ]
         assert backend.mask_to_rows(0) == []
         assert backend.mask_to_rows(1) == [0]
         assert backend.mask_to_rows(1 << 200) == [200]
